@@ -26,17 +26,6 @@ struct PolicyConfig {
   double clean_low_watermark = 0.15;   ///< cleaning stops below this
   double log_gc_threshold = 0.90;
   bool reclaim_as_clean = false;  ///< Section III-D scheme 1 (true) vs 2 (false)
-  /// Batched destage: the cleaner drains dirty groups through the
-  /// prepare/fold/commit pipeline (src/kdd/destage.hpp), coalescing each
-  /// group's deltas into one stale-parity RMW and committing whole batches
-  /// with one update_parity_rmw_batch call. Off = legacy per-group cleaning.
-  bool destage_batching = true;
-  /// Groups per destage batch. 0 = auto: sized from the high/low watermark
-  /// gap (enough groups to get from high back under low in ~4 batches).
-  std::uint32_t destage_batch_groups = 0;
-  /// Worker threads in the ConcurrentCache cleaner pool. 0 = no pool (the
-  /// single idle-cleaner thread drives destage inline, as before).
-  std::uint32_t cleaner_threads = 0;
   /// LARC-style lazy admission (Section V-C lists it as complementary to
   /// KDD): admit a page only on its second miss within a ghost-LRU window.
   bool selective_admission = false;

@@ -57,11 +57,16 @@ std::size_t LatencyHistogram::bucket_index(SimTime us) {
   // [kSubBuckets << (k-1), kSubBuckets << k) using the top kSubBucketBits
   // bits of the value as the sub-bucket (only the upper half of each octave's
   // slots is populated, which keeps the arithmetic trivially invertible).
+  // Values past the last octave saturate into the top bucket, so its upper
+  // bound is the table's ceiling (max_ keeps the exact value).
   if (us < kSubBuckets) return static_cast<std::size_t>(us);
   const int msb = 63 - std::countl_zero(us);
   const int octave = msb - (kSubBucketBits - 1);
   const std::size_t sub = static_cast<std::size_t>(us >> octave) & (kSubBuckets - 1);
-  return kSubBuckets + static_cast<std::size_t>(octave) * kSubBuckets + sub;
+  const std::size_t idx =
+      kSubBuckets + static_cast<std::size_t>(octave) * kSubBuckets + sub;
+  constexpr std::size_t kTop = static_cast<std::size_t>(kOctaves) * kSubBuckets - 1;
+  return std::min(idx, kTop);
 }
 
 SimTime LatencyHistogram::bucket_upper(std::size_t idx) {
@@ -78,13 +83,12 @@ SimTime LatencyHistogram::bucket_upper(std::size_t idx) {
 void LatencyHistogram::record(SimTime us) {
   const std::size_t idx = bucket_index(us);
   KDD_DCHECK(idx < buckets_.size());
-  const std::size_t clamped = idx < buckets_.size() ? idx : buckets_.size() - 1;
-  ++buckets_[clamped];
+  ++buckets_[idx];
   if (count_ == 0) {
-    lo_ = hi_ = clamped;
+    lo_ = hi_ = idx;
   } else {
-    lo_ = std::min(lo_, clamped);
-    hi_ = std::max(hi_, clamped);
+    lo_ = std::min(lo_, idx);
+    hi_ = std::max(hi_, idx);
   }
   ++count_;
   sum_us_ += static_cast<double>(us);

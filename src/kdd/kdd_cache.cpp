@@ -171,19 +171,23 @@ bool KddCache::handle_disk_failure_online(std::uint32_t disk) {
 
 bool KddCache::destage_range(GroupId begin, GroupId end, IoPlan* plan) {
   std::vector<GroupId> in_range;
-  for (const auto& [g, n] : dirty_groups_) {
-    if (g >= begin && g < end) in_range.push_back(g);
-  }
   bool all_clear = true;
-  for (const GroupId g : in_range) {
-    if (!dirty_groups_.contains(g)) continue;  // cleaned by an earlier fold
+  for (const auto& [g, n] : dirty_groups_) {
+    if (g < begin || g >= end) continue;
     if (claimed_groups_.contains(g)) {
       // In-flight destage claim (cleaner pool): the claim owner will fold it;
       // tell the engine to retry this window on the next pump.
       all_clear = false;
       continue;
     }
-    if (!clean_group(g, plan)) all_clear = false;
+    in_range.push_back(g);
+  }
+  if (!in_range.empty()) {
+    claimed_groups_.insert(in_range.begin(), in_range.end());
+    destage_claimed(in_range, plan);
+    for (const GroupId g : in_range) {
+      if (dirty_groups_.contains(g)) all_clear = false;
+    }
   }
   // Stripe barrier contract: the rebuild engine is about to trust the SSD
   // contents for this window, so nothing may linger in the RAM segment.
@@ -956,7 +960,8 @@ IoStatus KddCache::read(Lba lba, std::span<std::uint8_t> out, IoPlan* plan) {
     // reconstructing read.
     const GroupId g = raid_.layout().group_of(lba);
     if (dirty_groups_.contains(g) && !claimed_groups_.contains(g)) {
-      clean_group(g, plan);
+      claimed_groups_.insert(g);
+      destage_claimed({&g, 1}, plan);
       st = raid_.read_page(lba, out, plan);
       if (st == IoStatus::kOk) {
         ++degraded_delta_folds_;
@@ -990,7 +995,8 @@ IoStatus KddCache::degraded_write_page(Lba lba, std::span<const std::uint8_t> da
     // current, reconstruction becomes safe — and retry.
     const GroupId g = raid_.layout().group_of(lba);
     if (dirty_groups_.contains(g) && !claimed_groups_.contains(g)) {
-      clean_group(g, plan);
+      claimed_groups_.insert(g);
+      destage_claimed({&g, 1}, plan);
       st = raid_.write_page(lba, data, plan);
       if (st == IoStatus::kOk) {
         ++degraded_delta_folds_;
@@ -1170,14 +1176,15 @@ IoStatus KddCache::write_hit_locked(Lba lba, std::span<const std::uint8_t> data,
     // write through conventionally and re-admit the newest version.
     const GroupId g = raid_.layout().group_of(lba);
     if (dirty_groups_.contains(g) && !claimed_groups_.contains(g)) {
-      clean_group(g, plan);
+      claimed_groups_.insert(g);
+      destage_claimed({&g, 1}, plan);
       ++degraded_delta_folds_;
       kdd_metrics().degraded_delta_folds.inc();
     }
     const IoStatus wst = degraded_write_page(lba, data, plan);
     if (wst != IoStatus::kOk) return wst;
-    // clean_group either reclaimed the slot as clean (scheme 1) or dropped
-    // it (scheme 2); refresh what survives, else admit fresh.
+    // The fold either reclaimed the slot as clean (scheme 1) or dropped it
+    // (scheme 2); refresh what survives, else admit fresh.
     const std::uint32_t cur = sets_.find_data(set, lba);
     if (cur != CacheSets::kNone) {
       if (ssd_.write_data(cur, SsdWriteKind::kWriteUpdate, data, plan) ==
@@ -1274,28 +1281,6 @@ IoStatus KddCache::write_prepared(Lba lba, std::span<const std::uint8_t> data,
 // Cleaning (Section III-D)
 // ---------------------------------------------------------------------------
 
-void KddCache::drain_groups_legacy(std::uint64_t target_pages, IoPlan* plan) {
-  // Starvation fix: the old loop restarted at dirty_groups_.begin() every
-  // iteration, so whichever group hashed to the first bucket was recleaned
-  // over and over while groups later in iteration order waited indefinitely
-  // under a steady dirtying load. Draining a snapshot gives every dirty
-  // group a turn before any group is visited twice; the outer loop re-snaps
-  // only when a full pass made progress (groups dirtied mid-pass).
-  bool progress = true;
-  while (progress && old_pages_ + dez_pages_ > target_pages &&
-         !dirty_groups_.empty()) {
-    progress = false;
-    std::vector<GroupId> snapshot;
-    snapshot.reserve(dirty_groups_.size());
-    for (const auto& [g, n] : dirty_groups_) snapshot.push_back(g);
-    for (const GroupId g : snapshot) {
-      if (old_pages_ + dez_pages_ <= target_pages) return;
-      if (!dirty_groups_.contains(g) || claimed_groups_.contains(g)) continue;
-      if (clean_group(g, plan)) progress = true;
-    }
-  }
-}
-
 void KddCache::maybe_clean(IoPlan* plan) {
   if (cleaning_ || external_cleaner_) return;
   maybe_gc(bg_or(plan));
@@ -1306,12 +1291,8 @@ void KddCache::maybe_clean(IoPlan* plan) {
   IoPlan* clean_plan = bg_or(plan);  // cleaning runs in the background thread
   const auto low = static_cast<std::uint64_t>(
       config_.clean_low_watermark * static_cast<double>(sets_.pages()));
-  if (config_.destage_batching) {
-    while (old_pages_ + dez_pages_ > low && !dirty_groups_.empty()) {
-      if (!destage_batch_once(clean_plan)) break;
-    }
-  } else {
-    drain_groups_legacy(low, clean_plan);
+  while (old_pages_ + dez_pages_ > low && !dirty_groups_.empty()) {
+    if (!destage_batch_once(clean_plan)) break;
   }
   ++stats_.cleanings;
   cleaning_ = false;
@@ -1322,13 +1303,9 @@ void KddCache::clean_all(IoPlan* plan) {
   cleaning_ = true;
   // No kClean span here: the callers (on_idle, flush, failure handling)
   // install the root that attributes this pass.
-  if (config_.destage_batching) {
-    while (!dirty_groups_.empty() &&
-           claimed_groups_.size() < dirty_groups_.size()) {
-      if (!destage_batch_once(plan)) break;
-    }
-  } else {
-    drain_groups_legacy(0, plan);
+  while (!dirty_groups_.empty() &&
+         claimed_groups_.size() < dirty_groups_.size()) {
+    if (!destage_batch_once(plan)) break;
   }
   cleaning_ = false;
 }
@@ -1336,153 +1313,15 @@ void KddCache::clean_all(IoPlan* plan) {
 bool KddCache::destage_batch_once(IoPlan* plan) {
   const std::vector<GroupId> groups = destage_claim(destage_batch_size());
   if (groups.empty()) return false;
+  return destage_claimed(groups, plan);
+}
+
+bool KddCache::destage_claimed(std::span<const GroupId> groups, IoPlan* plan) {
   std::unique_ptr<DestageUnit> unit = destage_prepare(groups, plan);
   if (!unit) return false;
   unit->fold();
   destage_commit(*unit, plan);
   return true;
-}
-
-bool KddCache::clean_group(GroupId g, IoPlan* plan) {
-  const RaidLayout& layout = raid_.layout();
-  const std::uint32_t dd = layout.geometry().data_disks();
-  const std::uint32_t set = set_for(layout.group_member(g, 0));
-  const std::uint32_t base = set * sets_.ways();
-
-  std::vector<std::uint32_t> old_slots;
-  for (std::uint32_t w = 0; w < sets_.ways(); ++w) {
-    const CacheSets::CacheSlot& s = sets_.slot(base + w);
-    if (s.state == PageState::kOld && layout.group_of(s.lba) == g) {
-      old_slots.push_back(base + w);
-    }
-  }
-  KDD_CHECK(!old_slots.empty());
-
-  // Reconstruct-write only if every data member of the stripe is resident
-  // (Section III-D); otherwise RMW folds the deltas into the stale parity.
-  bool all_cached = true;
-  std::vector<std::uint32_t> member_slots(dd, CacheSets::kNone);
-  for (std::uint32_t k = 0; k < dd; ++k) {
-    member_slots[k] = sets_.find_data(set, layout.group_member(g, k));
-    if (member_slots[k] == CacheSets::kNone) {
-      all_cached = false;
-      break;
-    }
-  }
-
-  const bool real = ssd_.real();
-  if (all_cached) {
-    // Member images live in arena scratch (released on every exit path,
-    // including the heal_group early returns).
-    ScratchPages data_sp(dd);
-    std::vector<Page>& data = data_sp.vec();
-    ScratchPage xor_scratch;
-    std::vector<const Page*> ptrs(dd, nullptr);
-    for (std::uint32_t k = 0; k < dd; ++k) {
-      const CacheSets::CacheSlot& ms = sets_.slot(member_slots[k]);
-      if (real) {
-        if (ssd_.read_data(member_slots[k], data[k], plan) != IoStatus::kOk) {
-          // Unreadable cache copy: leave ptrs[k] null so the array reads the
-          // member from disk (which is current for clean AND old pages).
-          note_media_fallback("member daz unreadable while cleaning");
-          continue;
-        }
-        if (ms.state == PageState::kOld) {
-          Delta d;
-          if (!load_delta(ms, d, plan)) {
-            note_media_fallback("member delta unreadable while cleaning");
-            continue;
-          }
-          // Fold the delta in place: DAZ base ^ raw XOR == current version.
-          xor_into(data[k], delta_xor_view(d, *xor_scratch));
-        }
-      } else {
-        ssd_.read_data(member_slots[k], {}, plan);
-        if (ms.state == PageState::kOld) charge_delta_read(ms, plan);
-      }
-      ptrs[k] = &data[k];
-    }
-    const IoStatus st = raid_.update_parity_reconstruct_cached(g, ptrs, plan);
-    if (st != IoStatus::kOk) {
-      note_media_fallback("reconstruct-write failed while cleaning");
-      heal_group(g, plan);
-      return !dirty_groups_.contains(g);
-    }
-  } else {
-    ScratchPages diffs_sp(old_slots.size());
-    std::vector<Page>& diffs = diffs_sp.vec();
-    std::vector<GroupDelta> deltas;
-    deltas.reserve(old_slots.size());
-    for (std::size_t i = 0; i < old_slots.size(); ++i) {
-      const CacheSets::CacheSlot& s = sets_.slot(old_slots[i]);
-      if (real) {
-        Delta d;
-        if (!load_delta(s, d, plan)) {
-          // One lost delta poisons the whole RMW: heal the group instead.
-          note_media_fallback("delta unreadable for cleaning rmw");
-          heal_group(g, plan);
-          return !dirty_groups_.contains(g);
-        }
-        KDD_CHECK(delta_to_xor_into(d, diffs[i]));
-      } else {
-        charge_delta_read(s, plan);
-      }
-      deltas.push_back({layout.index_in_group(s.lba), &diffs[i]});
-    }
-    const IoStatus st = raid_.update_parity_rmw(g, deltas, plan);
-    if (st != IoStatus::kOk) {
-      note_media_fallback("parity rmw failed while cleaning");
-      heal_group(g, plan);
-      return !dirty_groups_.contains(g);
-    }
-  }
-
-  // Reclaim (Section III-D): scheme 1 rewrites the combined page as clean;
-  // scheme 2 (the paper's choice) simply drops old pages and their deltas.
-  ScratchPage reclaim_sp;  // hoisted: one borrow for the whole reclaim loop
-  ScratchPage reclaim_xor_sp;
-  for (const std::uint32_t os : old_slots) {
-    CacheSets::CacheSlot& s = sets_.slot(os);
-    if (config_.reclaim_as_clean) {
-      if (real) {
-        Page& current = *reclaim_sp;
-        Delta d;
-        const bool readable = ssd_.read_data(os, current, plan) == IoStatus::kOk &&
-                              load_delta(s, d, plan);
-        if (!readable) {
-          // Cannot rebuild the combined page: fall back to scheme-2 drop
-          // (parity for the group is already up to date at this point).
-          note_media_fallback("combined page unreadable at reclaim");
-          invalidate_delta(os, plan);
-          drop_old_page(os, plan);
-          continue;
-        }
-        // DAZ base ^ raw XOR == combined page, computed in place.
-        xor_into(current, delta_xor_view(d, *reclaim_xor_sp));
-        invalidate_delta(os, plan);
-        if (ssd_.write_data(os, SsdWriteKind::kWriteUpdate, current, plan) !=
-            IoStatus::kOk) {
-          note_media_fallback("reclaim rewrite failed");
-          drop_old_page(os, plan);
-          continue;
-        }
-      } else {
-        ssd_.read_data(os, {}, plan);
-        charge_delta_read(s, plan);
-        invalidate_delta(os, plan);
-        ssd_.write_data(os, SsdWriteKind::kWriteUpdate, {}, plan);
-      }
-      sets_.set_state(os, PageState::kClean);
-      add_map_entry(os, plan);
-      note_group_repair(raid_.layout().group_of(s.lba));
-      --old_pages_;
-    } else {
-      invalidate_delta(os, plan);
-      drop_old_page(os, plan);
-    }
-  }
-  ++stats_.groups_cleaned;
-  return !dirty_groups_.contains(g);
 }
 
 // ---------------------------------------------------------------------------
@@ -1545,7 +1384,6 @@ class KddCache::BatchUnit final : public DestageUnit {
 };
 
 std::size_t KddCache::destage_batch_size() const {
-  if (config_.destage_batch_groups > 0) return config_.destage_batch_groups;
   const auto high = static_cast<std::uint64_t>(
       config_.clean_high_watermark * static_cast<double>(sets_.pages()));
   const auto low = static_cast<std::uint64_t>(
@@ -1627,7 +1465,7 @@ std::unique_ptr<DestageUnit> KddCache::destage_prepare(
     KDD_CHECK(!gw.pages.empty());
 
     // Reconstruct-write when every data member is cache-resident
-    // (Section III-D), exactly like the per-group cleaner.
+    // (Section III-D); otherwise RMW folds the deltas into the stale parity.
     std::vector<std::uint32_t> member_slots(dd, CacheSets::kNone);
     gw.reconstruct = true;
     for (std::uint32_t k = 0; k < dd; ++k) {

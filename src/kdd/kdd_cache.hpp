@@ -121,7 +121,7 @@ class KddCache final : public BlockCacheBase,
   void set_external_cleaner(bool external) override { external_cleaner_ = external; }
   std::size_t destage_batch_hint() const override { return destage_batch_size(); }
 
-  /// Groups per destage batch (config override or watermark-gap autosize).
+  /// Groups per destage batch (autosized from the watermark gap).
   std::size_t destage_batch_size() const;
 
   // -- SpeculativeWriteSource (async/concurrent front ends) -----------------
@@ -313,13 +313,12 @@ class KddCache final : public BlockCacheBase,
   /// Runs one claim -> prepare -> fold -> commit pipeline pass inline.
   /// Returns false when no claimable work was left (caller stops looping).
   bool destage_batch_once(IoPlan* plan);
-  /// Legacy per-group drain over a snapshot of the dirty set (starvation-free:
-  /// every dirty group gets a turn before any group is revisited). Stops when
-  /// `target_pages` is reached or no snapshot makes progress.
-  void drain_groups_legacy(std::uint64_t target_pages, IoPlan* plan);
-  /// Returns true when `g` left the dirty set (cleaned or healed); false
-  /// signals no progress, so the caller's loop must stop rather than spin.
-  bool clean_group(GroupId g, IoPlan* plan);
+  /// The one parity-fold path: prepare -> fold -> commit inline on `groups`,
+  /// which the caller has already put in claimed_groups_ (every claim is
+  /// released on return). The batch cleaner feeds it destage_claim(); the
+  /// fold-now callers (degraded reads/writes, the rebuild stripe barrier)
+  /// claim their own groups. Returns false when none of them was dirty.
+  bool destage_claimed(std::span<const GroupId> groups, IoPlan* plan);
   /// Last-resort group repair after a cache-media fault: discards every
   /// pending delta of `g` (the RAID copy is always current — writes reach the
   /// array before their delta is staged) and regenerates parity from the data

@@ -1,6 +1,5 @@
-// Async submission/completion engine (ISSUE 7 tentpole): the BlockDevice
-// submit() interface with its sim-clock completion queue, the per-shard
-// submission queues behind ConcurrentCache, admission control/backpressure,
+// Async submission/completion engine: the per-shard submission queues
+// behind ConcurrentCache, admission control/backpressure,
 // quiesce-on-failure semantics, and the sync-vs-async replay equivalence
 // guarantee (byte-identical digests at every thread count and queue depth).
 //
@@ -17,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include "blockdev/mem_device.hpp"
 #include "blockdev/ssd_model.hpp"
 #include "cache/nvram.hpp"
 #include "common/rng.hpp"
@@ -27,7 +25,6 @@
 #include "obs/metrics.hpp"
 #include "raid/raid_array.hpp"
 #include "raid/rebuild.hpp"
-#include "sim/async_queue.hpp"
 #include "test_util.hpp"
 #include "trace/generators.hpp"
 
@@ -36,114 +33,6 @@ namespace {
 
 using ::kdd::testing::ReferenceModel;
 using ::kdd::testing::test_page;
-
-// ---------------------------------------------------------------------------
-// SimCompletionQueue / SimAsyncDevice / default sync fallback
-// ---------------------------------------------------------------------------
-
-TEST(SimCompletionQueue, FiresInDueOrderAcrossAdvanceAndDrain) {
-  SimCompletionQueue cq;
-  std::vector<int> order;
-  cq.schedule(30, IoStatus::kOk, [&](IoStatus) { order.push_back(3); });
-  cq.schedule(10, IoStatus::kOk, [&](IoStatus) { order.push_back(1); });
-  cq.schedule(20, IoStatus::kOk, [&](IoStatus) { order.push_back(2); });
-  EXPECT_EQ(cq.pending(), 3u);
-  EXPECT_EQ(cq.next_due(), 10u);
-
-  EXPECT_EQ(cq.advance_to(15), 1u);
-  ASSERT_EQ(order.size(), 1u);
-  EXPECT_EQ(order[0], 1);
-  EXPECT_EQ(cq.now(), 15u);
-
-  EXPECT_EQ(cq.drain(), 2u);
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[1], 2);
-  EXPECT_EQ(order[2], 3);
-  EXPECT_EQ(cq.pending(), 0u);
-}
-
-TEST(SimCompletionQueue, SameDueTimeCompletesInSubmissionOrder) {
-  SimCompletionQueue cq;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    cq.schedule(7, IoStatus::kOk, [&order, i](IoStatus) { order.push_back(i); });
-  }
-  cq.drain();
-  ASSERT_EQ(order.size(), 5u);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(SimCompletionQueue, CompletionMayScheduleFurtherIo) {
-  SimCompletionQueue cq;
-  int fired = 0;
-  cq.schedule(5, IoStatus::kOk, [&](IoStatus) {
-    ++fired;
-    cq.schedule(cq.now() + 5, IoStatus::kOk, [&](IoStatus) { ++fired; });
-  });
-  cq.drain();
-  EXPECT_EQ(fired, 2);
-  EXPECT_EQ(cq.now(), 10u);
-}
-
-TEST(SimAsyncDevice, ExecutesDataPlaneNowButDefersCompletion) {
-  MemBlockDevice inner(16);
-  SimCompletionQueue cq;
-  SimAsyncDevice dev(&inner, &cq, [](AsyncIo::Op, Lba) { return SimTime{25}; });
-
-  const Page data = test_page(3, 42);
-  bool completed = false;
-  AsyncIo io;
-  io.op = AsyncIo::Op::kWrite;
-  io.page = 3;
-  io.data = data;
-  dev.submit(io, [&](IoStatus st) {
-    EXPECT_EQ(st, IoStatus::kOk);
-    completed = true;
-  });
-
-  // The write already landed on the medium; only the completion is delayed.
-  Page buf = make_page();
-  EXPECT_EQ(inner.read(3, buf), IoStatus::kOk);
-  EXPECT_EQ(buf, data);
-  EXPECT_FALSE(completed);
-  cq.advance_to(25);
-  EXPECT_TRUE(completed);
-}
-
-TEST(SimAsyncDevice, ReadCompletionCarriesDeviceStatus) {
-  MemBlockDevice inner(16);
-  SimCompletionQueue cq;
-  SimAsyncDevice dev(&inner, &cq, [](AsyncIo::Op, Lba) { return SimTime{5}; });
-  inner.fail();
-
-  Page buf = make_page();
-  AsyncIo io;
-  io.page = 1;
-  io.out = buf;
-  IoStatus seen = IoStatus::kOk;
-  dev.submit(io, [&](IoStatus st) { seen = st; });
-  cq.drain();
-  EXPECT_NE(seen, IoStatus::kOk);
-}
-
-TEST(BlockDevice, DefaultSubmitIsSynchronousFallback) {
-  MemBlockDevice dev(8);
-  const Page data = test_page(2, 7);
-  bool completed = false;
-  AsyncIo io;
-  io.op = AsyncIo::Op::kWrite;
-  io.page = 2;
-  io.data = data;
-  static_cast<BlockDevice&>(dev).submit(io, [&](IoStatus st) {
-    EXPECT_EQ(st, IoStatus::kOk);
-    completed = true;
-  });
-  // No queue to drain: the base-class fallback completes inline.
-  EXPECT_TRUE(completed);
-  Page buf = make_page();
-  EXPECT_EQ(dev.read(2, buf), IoStatus::kOk);
-  EXPECT_EQ(buf, data);
-}
 
 // ---------------------------------------------------------------------------
 // ConcurrentCache async engine

@@ -45,6 +45,11 @@ struct PresetCase {
   std::uint64_t requests_k;
 };
 
+// Without this, gtest prints the raw bytes of the case -- including the
+// ASLR-randomised `name` pointer -- into the listed test name, so the name
+// CTest registers changes from one build to the next.
+void PrintTo(const PresetCase& c, std::ostream* os) { *os << c.name; }
+
 class PresetTest : public ::testing::TestWithParam<PresetCase> {};
 
 TEST_P(PresetTest, MatchesTableOne) {
