@@ -17,7 +17,9 @@ enum class SsdWriteKind : std::uint8_t {
   kWriteUpdate,  ///< full-page update of an already-cached page (WT/LeavO)
   kDeltaCommit,  ///< packed delta page committed to the DEZ (KDD)
   kMetadata,     ///< persistent cache metadata
-  kGcRelocate,   ///< live deltas rewritten by the delta-zone GC/defrag (KDD)
+  /// No writer: DEZ pages are write-once, so nothing relocates deltas. Kept
+  /// so the kind names (metric labels, benchmark ledger keys) stay stable.
+  kGcRelocate,
 };
 inline constexpr int kNumSsdWriteKinds = 6;
 

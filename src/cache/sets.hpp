@@ -38,7 +38,9 @@ class CacheSets {
     Lba lba = kInvalidLba;            ///< RAID page cached here (data slots)
     std::uint32_t dez_idx = kNone;    ///< KDD old: slot index of the DEZ page
     std::uint16_t dez_off = 0;        ///< byte offset of the delta in the DEZ page
-    std::uint16_t dez_len = 0;        ///< packed delta length in bytes
+    std::uint16_t dez_len = 0;        ///< KDD old: packed delta length in
+                                      ///< bytes; KDD delta: bytes packed
+                                      ///< into this (write-once) page
     std::uint16_t valid_count = 0;    ///< KDD delta: live deltas in this page
     std::uint32_t partner = kNone;    ///< LeavO: the paired version slot
     std::uint32_t lru_prev = kNone;

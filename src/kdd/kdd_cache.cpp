@@ -4,6 +4,7 @@
 #include <cmath>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/page_arena.hpp"
@@ -30,17 +31,30 @@ struct KddMetrics {
   obs::Counter degraded_cache_hits;   ///< lost pages served from cache
   obs::Counter degraded_delta_folds;  ///< fold-then-retry degraded recoveries
   obs::Histogram destage_batch_groups;  ///< groups per committed destage batch
-  // Elastic delta zone (kdd_dez_*): occupancy/fragmentation gauges plus the
-  // GC and boundary-adaptation activity counters.
-  obs::Counter gc_passes;
-  obs::Counter gc_pages_reclaimed;
-  obs::Counter gc_deltas_relocated;
-  obs::Counter boundary_moves;
+  // Delta-zone occupancy: live and dead packed bytes across DEZ pages.
   obs::Gauge dez_live_bytes;
   obs::Gauge dez_dead_bytes;
-  obs::Gauge dez_boundary_pages;
-  obs::Gauge dez_spare_pages;
 };
+
+/// The packed [offset, end) byte ranges that old pages map into one DEZ page.
+using DezRanges = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+
+struct DezCensus {
+  std::uint32_t end = 0;         ///< largest mapped end offset
+  std::uint32_t live_bytes = 0;  ///< summed mapped lengths
+  bool overlap = false;          ///< two mapped ranges share a byte
+};
+
+DezCensus census_of(DezRanges ranges) {
+  std::sort(ranges.begin(), ranges.end());
+  DezCensus c;
+  for (const auto& [off, end] : ranges) {
+    if (off < c.end) c.overlap = true;
+    c.end = std::max(c.end, end);
+    c.live_bytes += end - off;
+  }
+  return c;
+}
 
 KddMetrics& kdd_metrics() {
   static KddMetrics* m = [] {
@@ -56,16 +70,8 @@ KddMetrics& kdd_metrics() {
         obs::Counter(&reg, "kdd_degraded_delta_folds_total");
     km->destage_batch_groups =
         obs::Histogram(&reg, "kdd_destage_batch_groups");
-    km->gc_passes = obs::Counter(&reg, "kdd_dez_gc_passes_total");
-    km->gc_pages_reclaimed =
-        obs::Counter(&reg, "kdd_dez_gc_pages_reclaimed_total");
-    km->gc_deltas_relocated =
-        obs::Counter(&reg, "kdd_dez_gc_deltas_relocated_total");
-    km->boundary_moves = obs::Counter(&reg, "kdd_dez_boundary_moves_total");
     km->dez_live_bytes = obs::Gauge(&reg, "kdd_dez_live_bytes");
     km->dez_dead_bytes = obs::Gauge(&reg, "kdd_dez_dead_bytes");
-    km->dez_boundary_pages = obs::Gauge(&reg, "kdd_dez_boundary_pages");
-    km->dez_spare_pages = obs::Gauge(&reg, "kdd_dez_elastic_spare_pages");
     return km;
   }();
   return *m;
@@ -87,12 +93,6 @@ KddCache::KddCache(const PolicyConfig& config, const RaidGeometry& geo,
   if (config.selective_admission) {
     ghost_ = std::make_unique<GhostLru>(sets_.pages());
   }
-  dez_space_.reset(sets_.pages());
-  comp_ewma_ = config.delta_ratio_mean;
-  if (config.adaptive_boundary) {
-    boundary_ghost_ = std::make_unique<GhostLru>(sets_.pages());
-    dez_limit_pages_ = boundary_target_pages();
-  }
   refresh_dez_gauges();
   if (config.segment_staging) {
     setup_segment_staging();
@@ -113,12 +113,6 @@ KddCache::KddCache(const PolicyConfig& config, RaidArray* array, SsdModel* ssd,
       rng_(config.seed) {
   if (config.selective_admission) {
     ghost_ = std::make_unique<GhostLru>(sets_.pages());
-  }
-  dez_space_.reset(sets_.pages());
-  comp_ewma_ = config.delta_ratio_mean;
-  if (config.adaptive_boundary) {
-    boundary_ghost_ = std::make_unique<GhostLru>(sets_.pages());
-    dez_limit_pages_ = boundary_target_pages();
   }
   // Staging is enabled (so recover() can replay the in-flight segment) but
   // only activated once the cache state is consistent: recovery's own reads
@@ -297,78 +291,48 @@ void KddCache::stage_delta(Lba lba, std::uint32_t daz_idx, DeltaInfo info,
   sets_.slot(daz_idx).dez_len = static_cast<std::uint16_t>(info.packed);
 }
 
-KddCache::DezWriteResult KddCache::write_dez_run(std::uint32_t dest, bool append,
-                                                 std::span<DezItem> run,
-                                                 SsdWriteKind kind, IoPlan* plan) {
+bool KddCache::write_dez_run(std::uint32_t dest, std::span<const StagedDelta> run,
+                             IoPlan* plan) {
   KDD_CHECK(!run.empty());
   // Page image. Zeroed so the gaps between packed deltas never leak stale
   // scratch bytes to media; arena-backed so committing is allocation-free
-  // once warm. Appends read-modify-write the extent so the deltas already
-  // packed before the tail are preserved.
+  // once warm.
   ScratchPage content_sp(ScratchPage::kZeroed);
   Page& content = *content_sp;
   std::size_t off = 0;
-  if (append) {
-    KDD_CHECK(sets_.slot(dest).state == PageState::kDelta);
-    KDD_CHECK(dez_space_.tracked(dest) && dez_space_.extent(dest).open);
-    off = dez_space_.extent(dest).tail;
+  for (const StagedDelta& d : run) {
     if (ssd_.real()) {
-      if (ssd_.read_data(dest, content, plan) != IoStatus::kOk) {
-        return DezWriteResult::kDestUnreadable;
-      }
-    } else {
-      ssd_.read_data(dest, {}, plan);
+      const std::size_t written = pack_delta(d.blob, content, off);
+      KDD_CHECK(written == d.packed_size);
     }
-  }
-  for (const DezItem& item : run) {
-    if (ssd_.real()) {
-      const std::size_t written = pack_delta(*item.blob, content, off);
-      KDD_CHECK(written == item.packed);
-    }
-    off += item.packed;
+    off += d.packed_size;
   }
   KDD_CHECK(off <= kPageSize);
   // Write the DEZ page *before* persisting any mapping to it: a torn or
   // failed commit must never leave metadata pointing at garbage deltas.
   const IoStatus wst =
-      ssd_.write_data(dest, kind,
+      ssd_.write_data(dest, SsdWriteKind::kDeltaCommit,
                       ssd_.real() ? std::span<const std::uint8_t>(content)
                                   : std::span<const std::uint8_t>{},
                       plan);
-  if (wst != IoStatus::kOk) return DezWriteResult::kUnwritable;
-  if (!append) dez_space_.open_page(dest);
-  for (const DezItem& item : run) {
-    const std::uint32_t at = dez_space_.append(dest, item.packed);
-    CacheSets::CacheSlot& daz = sets_.slot(item.daz_idx);
-    KDD_CHECK(daz.state == PageState::kOld && daz.lba == item.lba);
+  if (wst != IoStatus::kOk) return false;
+  off = 0;
+  for (const StagedDelta& d : run) {
+    CacheSets::CacheSlot& daz = sets_.slot(d.daz_idx);
+    KDD_CHECK(daz.state == PageState::kOld && daz.lba == d.lba);
     daz.dez_idx = dest;
-    daz.dez_off = static_cast<std::uint16_t>(at);
-    daz.dez_len = static_cast<std::uint16_t>(item.packed);
-    add_map_entry(item.daz_idx, plan);
+    daz.dez_off = static_cast<std::uint16_t>(off);
+    daz.dez_len = static_cast<std::uint16_t>(d.packed_size);
+    add_map_entry(d.daz_idx, plan);
+    off += d.packed_size;
   }
-  if (append) {
-    sets_.slot(dest).valid_count =
-        static_cast<std::uint16_t>(sets_.slot(dest).valid_count + run.size());
-  } else {
-    sets_.set_state(dest, PageState::kDelta);
-    sets_.slot(dest).valid_count = static_cast<std::uint16_t>(run.size());
-    ++dez_pages_;
-    // Fixed layout: DEZ pages are write-once, so the leftover tail room is
-    // never offered again. Elastic keeps the extent open for later commits.
-    if (!config_.dez_elastic) dez_space_.close_page(dest);
-  }
-  return DezWriteResult::kOk;
-}
-
-void KddCache::heal_dez_page(std::uint32_t dez_idx, IoPlan* plan) {
-  std::unordered_set<GroupId> groups;
-  for (std::uint32_t i = 0; i < sets_.pages(); ++i) {
-    const CacheSets::CacheSlot& s = sets_.slot(i);
-    if (s.state == PageState::kOld && s.dez_idx == dez_idx) {
-      groups.insert(raid_.layout().group_of(s.lba));
-    }
-  }
-  for (const GroupId g : groups) heal_group(g, plan);
+  sets_.set_state(dest, PageState::kDelta);
+  CacheSets::CacheSlot& page = sets_.slot(dest);
+  page.valid_count = static_cast<std::uint16_t>(run.size());
+  page.dez_len = static_cast<std::uint16_t>(off);
+  ++dez_pages_;
+  dez_live_bytes_ += off;
+  return true;
 }
 
 void KddCache::commit_staging(IoPlan* plan) {
@@ -376,13 +340,6 @@ void KddCache::commit_staging(IoPlan* plan) {
   if (all.empty()) return;
   const obs::SpanScope span(obs::Stage::kDezCommit);
 
-  std::vector<DezItem> items(all.size());
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    items[i].daz_idx = all[i].daz_idx;
-    items[i].lba = all[i].lba;
-    items[i].packed = all[i].packed_size;
-    items[i].blob = &all[i].blob;
-  }
   const auto fold_run = [&](std::size_t from, std::size_t to) {
     for (std::size_t i = from; i < to; ++i) {
       DeltaInfo info;
@@ -392,46 +349,8 @@ void KddCache::commit_staging(IoPlan* plan) {
     }
   };
 
-  std::size_t pos = 0;
-  // Elastic placement: fill the tail slack of open extents before burning
-  // fresh cache pages. FIFO order is preserved — the head delta picks the
-  // destination (best fit by size class) and followers ride while they fit.
-  while (config_.dez_elastic && pos < all.size()) {
-    const std::uint32_t dest = dez_space_.find_open(items[pos].packed);
-    if (dest == DezSpace::kNone) break;
-    const std::uint32_t room = dez_space_.extent(dest).remaining();
-    std::size_t end = pos;
-    std::size_t bytes = 0;
-    while (end < items.size() && bytes + items[end].packed <= room) {
-      bytes += items[end].packed;
-      ++end;
-    }
-    KDD_CHECK(end > pos);
-    const DezWriteResult st =
-        write_dez_run(dest, /*append=*/true,
-                      std::span<DezItem>(items).subspan(pos, end - pos),
-                      SsdWriteKind::kDeltaCommit, plan);
-    if (st == DezWriteResult::kDestUnreadable) {
-      // Cannot append without clobbering what is already packed there: stop
-      // offering this extent and retry placement for the same head delta.
-      note_media_fallback("dez extent unreadable for append");
-      dez_space_.close_page(dest);
-      continue;
-    }
-    if (st == DezWriteResult::kUnwritable) {
-      // Torn rewrite of a live extent: its pre-existing deltas are gone.
-      // Heal their groups from the RAID copy (always current), then fold
-      // this run's deltas into parity synchronously.
-      note_media_fallback("dez extent unwritable at append");
-      heal_dez_page(dest, plan);
-      fold_run(pos, end);
-      pos = end;
-      continue;
-    }
-    pos = end;
-  }
-
   // First-fit packing into fresh DEZ pages, preserving FIFO order.
+  std::size_t pos = 0;
   while (pos < all.size()) {
     std::size_t end = pos;
     std::size_t bytes = 0;
@@ -440,24 +359,15 @@ void KddCache::commit_staging(IoPlan* plan) {
       ++end;
     }
     KDD_CHECK(end > pos);
-    std::uint32_t dez = alloc_dez_slot(plan);
-    if (dez == CacheSets::kNone && config_.dez_gc) {
-      // Under true capacity pressure the fastest page source is the GC
-      // itself: compacting a fragmented extent frees a whole cache page.
-      maybe_gc(plan);
-      dez = alloc_dez_slot(plan);
-    }
+    const std::uint32_t dez = alloc_dez_slot(plan);
     if (dez == CacheSets::kNone) {
       // Emergency: no DEZ page obtainable — fold the remaining deltas into
       // parity synchronously and drop their pages.
       fold_run(pos, all.size());
       return;
     }
-    const DezWriteResult st =
-        write_dez_run(dez, /*append=*/false,
-                      std::span<DezItem>(items).subspan(pos, end - pos),
-                      SsdWriteKind::kDeltaCommit, plan);
-    if (st != DezWriteResult::kOk) {
+    if (!write_dez_run(dez, std::span<const StagedDelta>(all).subspan(pos, end - pos),
+                       plan)) {
       // DEZ page unwritable (media error / power loss): fold this batch's
       // deltas into parity synchronously instead of mapping a bad page.
       note_media_fallback("dez page unwritable at commit");
@@ -469,245 +379,10 @@ void KddCache::commit_staging(IoPlan* plan) {
   refresh_dez_gauges();
 }
 
-// ---------------------------------------------------------------------------
-// Delta-zone GC/defrag and the adaptive DAZ/DEZ boundary (ROADMAP item 3)
-// ---------------------------------------------------------------------------
-
-void KddCache::maybe_gc(IoPlan* plan) {
-  if (!config_.dez_gc || in_gc_) return;
-  const std::vector<std::uint32_t> victims = dez_space_.pick_victims(
-      config_.dez_gc_dead_ratio, config_.dez_gc_max_victims);
-  if (victims.empty()) return;
-  in_gc_ = true;
-  const obs::SpanScope span(obs::Stage::kClean);
-  ++gc_passes_;
-  kdd_metrics().gc_passes.inc();
-  for (const std::uint32_t v : victims) gc_relocate_page(v, plan);
-  in_gc_ = false;
-  refresh_dez_gauges();
-}
-
-void KddCache::gc_relocate_page(std::uint32_t victim, IoPlan* plan) {
-  // Revalidate: an earlier victim's relocation (or a heal it triggered) may
-  // already have freed or mutated this page.
-  if (!dez_space_.tracked(victim)) return;
-  if (sets_.slot(victim).state != PageState::kDelta) return;
-
-  // Collect the live references, in packing order so the relocation is a
-  // sequential sweep of the victim.
-  std::vector<DezItem> items;
-  for (std::uint32_t i = 0; i < sets_.pages(); ++i) {
-    const CacheSets::CacheSlot& s = sets_.slot(i);
-    if (s.state == PageState::kOld && s.dez_idx == victim) {
-      DezItem it;
-      it.daz_idx = i;
-      it.lba = s.lba;
-      it.packed = s.dez_len;
-      items.push_back(it);
-    }
-  }
-  if (items.empty()) return;
-  std::sort(items.begin(), items.end(), [this](const DezItem& a, const DezItem& b) {
-    return sets_.slot(a.daz_idx).dez_off < sets_.slot(b.daz_idx).dez_off;
-  });
-
-  // Unpack the live deltas up front (prototype mode): the blobs must outlive
-  // every destination write, and an unreadable/torn victim means the live
-  // deltas are already lost — heal their groups from the RAID copy instead.
-  std::vector<Delta> blobs(items.size());
-  if (ssd_.real()) {
-    ScratchPage victim_sp;
-    if (ssd_.read_data(victim, *victim_sp, plan) != IoStatus::kOk) {
-      note_media_fallback("gc victim unreadable");
-      heal_dez_page(victim, plan);
-      return;
-    }
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      const CacheSets::CacheSlot& s = sets_.slot(items[i].daz_idx);
-      if (!unpack_delta(*victim_sp, s.dez_off, blobs[i]) ||
-          blobs[i].packed_size() != s.dez_len) {
-        note_media_fallback("gc victim delta corrupt");
-        heal_dez_page(victim, plan);
-        return;
-      }
-    }
-  } else {
-    // Counter mode still pays for reading the victim once.
-    ssd_.read_data(victim, {}, plan);
-  }
-  for (std::size_t i = 0; i < items.size(); ++i) items[i].blob = &blobs[i];
-
-  // The victim must never be offered as a relocation destination.
-  dez_space_.close_page(victim);
-
-  std::size_t pos = 0;
-  while (pos < items.size()) {
-    std::uint32_t dest = dez_space_.find_open(items[pos].packed);
-    bool append = dest != DezSpace::kNone;
-    if (append && dest == victim) {  // paranoia: closed above, never offered
-      append = false;
-      dest = DezSpace::kNone;
-    }
-    if (!append) {
-      dest = alloc_dez_slot(plan);
-      if (dest == CacheSets::kNone) return;  // leave the rest in the victim
-    }
-    const std::uint32_t room =
-        append ? dez_space_.extent(dest).remaining()
-               : static_cast<std::uint32_t>(kPageSize);
-    std::size_t end = pos;
-    std::size_t bytes = 0;
-    while (end < items.size() && bytes + items[end].packed <= room) {
-      bytes += items[end].packed;
-      ++end;
-    }
-    KDD_CHECK(end > pos);
-    if (gc_write_hook_) gc_write_hook_();
-    const DezWriteResult st =
-        write_dez_run(dest, append,
-                      std::span<DezItem>(items).subspan(pos, end - pos),
-                      SsdWriteKind::kGcRelocate, plan);
-    if (st == DezWriteResult::kDestUnreadable) {
-      // Cannot RMW this destination extent: stop offering it, retry placement.
-      note_media_fallback("gc destination unreadable");
-      dez_space_.close_page(dest);
-      continue;
-    }
-    if (st == DezWriteResult::kUnwritable) {
-      note_media_fallback("gc destination unwritable");
-      if (append) {
-        // Torn rewrite destroyed the destination's pre-existing deltas; the
-        // victim's deltas are untouched (no state was changed).
-        heal_dez_page(dest, plan);
-      } else {
-        ssd_.trim_data(dest);
-      }
-      return;  // abort this victim; the remaining deltas stay where they are
-    }
-    // Moved: the mappings now point at `dest`; account the holes they left.
-    CacheSets::CacheSlot& vslot = sets_.slot(victim);
-    for (std::size_t i = pos; i < end; ++i) {
-      dez_space_.on_dead(victim, items[i].packed);
-      KDD_CHECK(vslot.valid_count > 0);
-      --vslot.valid_count;
-      ++gc_deltas_relocated_;
-      kdd_metrics().gc_deltas_relocated.inc();
-    }
-    if (vslot.valid_count == 0) {
-      ssd_.trim_data(victim);
-      sets_.reset_slot(victim);
-      dez_space_.on_free(victim);
-      KDD_CHECK(dez_pages_ > 0);
-      --dez_pages_;
-      ++gc_pages_reclaimed_;
-      kdd_metrics().gc_pages_reclaimed.inc();
-    }
-    pos = end;
-  }
-}
-
-void KddCache::note_compressibility(double packed_ratio) {
-  const double w = config_.boundary_ewma;
-  comp_ewma_ = (1.0 - w) * comp_ewma_ + w * std::min(1.0, packed_ratio);
-}
-
-void KddCache::note_boundary_miss(Lba lba) {
-  if (!boundary_ghost_) return;
-  ++boundary_epoch_misses_;
-  if (boundary_ghost_->touch_and_check(lba)) ++boundary_epoch_ghost_hits_;
-}
-
-std::uint64_t KddCache::boundary_target_pages() const {
-  // Compressibility steers the share of cache pages the delta zone may hold:
-  // highly compressible deltas (EWMA near 0.2 of a page) earn up to 30% of
-  // the cache, incompressible ones (EWMA at 0.75+) shrink the zone to 4% —
-  // a DEZ full of near-page-size deltas is strictly worse than DAZ residency.
-  const double t = std::clamp((0.75 - comp_ewma_) / (0.75 - 0.20), 0.0, 1.0);
-  double frac = 0.04 + t * (0.30 - 0.04);
-  // Ghost-LRU marginal utility: when over half of this epoch's misses would
-  // have hit with a slightly larger DAZ, trade delta capacity for residency.
-  if (boundary_epoch_misses_ >= 16 &&
-      boundary_epoch_ghost_hits_ * 2 > boundary_epoch_misses_) {
-    frac *= 0.75;
-  }
-  const auto target =
-      static_cast<std::uint64_t>(frac * static_cast<double>(sets_.pages()));
-  return std::max<std::uint64_t>(1, target);
-}
-
-void KddCache::update_boundary(IoPlan* plan) {
-  if (!config_.adaptive_boundary) return;
-  if (op_counter_ - last_boundary_op_ < config_.boundary_epoch_ops) return;
-  last_boundary_op_ = op_counter_;
-  const std::uint64_t target = boundary_target_pages();
-  // Dead band + bounded step + two-epoch confirmation: the EWMA ripple from
-  // alternating compressibility lands the target just outside the dead band
-  // on *alternating* sides, so requiring the same out-of-band direction in two
-  // consecutive epochs kills the flip-flop without delaying a genuine phase
-  // shift by more than one epoch (tests/test_elastic.cpp pins this down).
-  const std::uint64_t dead_band = std::max<std::uint64_t>(1, sets_.pages() / 64);
-  const std::uint64_t step = std::max<std::uint64_t>(1, sets_.pages() / 32);
-  const std::uint64_t cur = dez_limit_pages_;
-  std::int8_t dir = 0;
-  if (target > cur && target - cur > dead_band) {
-    dir = 1;
-  } else if (cur > target && cur - target > dead_band) {
-    dir = -1;
-  }
-  std::uint64_t next = cur;
-  if (dir != 0 && dir == boundary_pending_dir_) {
-    next = dir > 0 ? std::min(cur + step, target)
-                   : (cur > step ? std::max(cur - step, target) : target);
-  }
-  boundary_pending_dir_ = dir;
-  if (next != cur) {
-    dez_limit_pages_ = next;
-    ++boundary_moves_;
-    kdd_metrics().boundary_moves.inc();
-  }
-  boundary_epoch_misses_ = 0;
-  boundary_epoch_ghost_hits_ = 0;
-  // Shrinking below current usage makes the GC the enforcement arm: compact
-  // fragmented extents until the zone fits the new boundary.
-  if (config_.dez_gc && dez_pages_ > dez_limit_pages_) maybe_gc(bg_or(plan));
-  refresh_dez_gauges();
-}
-
-std::uint32_t KddCache::delta_admit_limit() const {
-  // A saturated delta zone stops admitting marginal (barely-compressible)
-  // deltas: they would evict twice their value in DAZ pages. They go
-  // write-through instead, exactly like incompressible ones.
-  if (config_.adaptive_boundary && dez_limit_pages_ > 0 &&
-      dez_pages_ >= dez_limit_pages_) {
-    return static_cast<std::uint32_t>(kPageSize / 2);
-  }
-  return static_cast<std::uint32_t>(kPageSize);
-}
-
-std::uint64_t KddCache::elastic_spare_pages() const {
-  if (!config_.adaptive_boundary || dez_limit_pages_ == 0) return 0;
-  return dez_pages_ < dez_limit_pages_ ? dez_limit_pages_ - dez_pages_ : 0;
-}
-
-std::uint64_t KddCache::effective_clean_high_pages() const {
-  const auto high = static_cast<std::uint64_t>(
-      config_.clean_high_watermark * static_cast<double>(sets_.pages()));
-  const std::uint64_t spare = elastic_spare_pages();
-  if (spare == 0 || sets_.pages() == 0) return high;
-  // Degraded/rebuilding arrays get the whole spare — deferring parity work
-  // off the critical path is exactly what the reclaimed capacity is for.
-  // Healthy arrays keep most of it as destage-burst headroom.
-  const bool stressed = rebuild_ && rebuild_->health() != ArrayHealth::kHealthy;
-  const std::uint64_t boost = stressed ? spare : spare / 4;
-  return std::min(high + boost, static_cast<std::uint64_t>(sets_.pages()) - 1);
-}
-
 void KddCache::refresh_dez_gauges() {
   KddMetrics& m = kdd_metrics();
-  m.dez_live_bytes.set(static_cast<std::int64_t>(dez_space_.live_bytes()));
-  m.dez_dead_bytes.set(static_cast<std::int64_t>(dez_space_.dead_bytes()));
-  m.dez_boundary_pages.set(static_cast<std::int64_t>(dez_limit_pages_));
-  m.dez_spare_pages.set(static_cast<std::int64_t>(elastic_spare_pages()));
+  m.dez_live_bytes.set(static_cast<std::int64_t>(dez_live_bytes_));
+  m.dez_dead_bytes.set(static_cast<std::int64_t>(dez_dead_bytes_));
 }
 
 // ---------------------------------------------------------------------------
@@ -761,20 +436,27 @@ void KddCache::invalidate_delta(std::uint32_t daz_idx, IoPlan* plan) {
   if (slot.dez_idx == CacheSets::kStaged) {
     nvram_->staging.erase(slot.lba);
   } else if (slot.dez_idx != CacheSets::kNone) {
-    CacheSets::CacheSlot& dez = sets_.slot(slot.dez_idx);
-    KDD_CHECK(dez.state == PageState::kDelta);
-    KDD_CHECK(dez.valid_count > 0);
-    dez_space_.on_dead(slot.dez_idx, slot.dez_len);
-    if (--dez.valid_count == 0) {
-      ssd_.trim_data(slot.dez_idx);
-      sets_.reset_slot(slot.dez_idx);
-      dez_space_.on_free(slot.dez_idx);
-      KDD_CHECK(dez_pages_ > 0);
-      --dez_pages_;
-    }
+    release_dez_ref(slot.dez_idx, slot.dez_len);
   }
   slot.dez_idx = CacheSets::kNone;
   slot.dez_off = slot.dez_len = 0;
+}
+
+void KddCache::release_dez_ref(std::uint32_t dez_idx, std::uint32_t len) {
+  CacheSets::CacheSlot& dez = sets_.slot(dez_idx);
+  KDD_CHECK(dez.state == PageState::kDelta);
+  KDD_CHECK(dez.valid_count > 0 && dez_live_bytes_ >= len);
+  dez_live_bytes_ -= len;
+  dez_dead_bytes_ += len;
+  if (--dez.valid_count == 0) {
+    // Write-once: the page is never refilled, so its last delta frees it
+    // together with every dead byte it still holds.
+    dez_dead_bytes_ -= dez.dez_len;
+    ssd_.trim_data(dez_idx);
+    sets_.reset_slot(dez_idx);
+    KDD_CHECK(dez_pages_ > 0);
+    --dez_pages_;
+  }
 }
 
 void KddCache::drop_old_page(std::uint32_t daz_idx, IoPlan* plan) {
@@ -951,7 +633,6 @@ IoStatus KddCache::read(Lba lba, std::span<std::uint8_t> out, IoPlan* plan) {
   }
   ++stats_.read_misses;
   obs::health_cache_miss();
-  note_boundary_miss(lba);
   IoStatus st = raid_.read_page(lba, out, plan);
   if (st != IoStatus::kOk && page_down(lba)) {
     // Degraded miss in a stale group: the array refuses to reconstruct a
@@ -1013,7 +694,6 @@ void KddCache::write_preamble(IoPlan* plan) {
     rebuild_->note_foreground();
     if (rebuild_->health() != ArrayHealth::kHealthy) rebuild_->pump(plan);
   }
-  update_boundary(plan);
 }
 
 IoStatus KddCache::write(Lba lba, std::span<const std::uint8_t> data, IoPlan* plan) {
@@ -1036,7 +716,6 @@ IoStatus KddCache::write_inner(Lba lba, std::span<const std::uint8_t> data,
     // group's deltas and retries when the array refuses), then admit.
     ++stats_.write_misses;
     obs::health_cache_miss();
-    note_boundary_miss(lba);
     const IoStatus st = degraded_write_page(lba, data, plan);
     if (st != IoStatus::kOk) return st;
     if (!admit(lba)) return IoStatus::kOk;
@@ -1065,10 +744,6 @@ IoStatus KddCache::write_hit_locked(Lba lba, std::span<const std::uint8_t> data,
                                     std::uint32_t set, std::uint32_t idx,
                                     DeltaInfo info, IoPlan* plan) {
   CacheSets::CacheSlot& slot = sets_.slot(idx);
-  if (info.ok) {
-    note_compressibility(static_cast<double>(info.packed) /
-                         static_cast<double>(kPageSize));
-  }
 
   if (slot.state == PageState::kClean) {
     if (!info.ok) {
@@ -1097,7 +772,7 @@ IoStatus KddCache::write_hit_locked(Lba lba, std::span<const std::uint8_t> data,
       }
       return IoStatus::kOk;
     }
-    if (info.packed > delta_admit_limit()) {
+    if (info.packed > kPageSize) {
       // Incompressible delta: no benefit in deferring — stay write-through
       // (degraded-capable: folds the group and retries when the array
       // refuses). Array first, cache refresh second — see above.
@@ -1211,7 +886,7 @@ IoStatus KddCache::write_hit_locked(Lba lba, std::span<const std::uint8_t> data,
     add_map_entry(ns, plan);
     return IoStatus::kOk;
   }
-  if (info.packed > delta_admit_limit()) {
+  if (info.packed > kPageSize) {
     ++delta_fallbacks_;
   kdd_metrics().delta_fallbacks.inc();
     resolve_and_drop(idx, &info, plan);
@@ -1283,8 +958,8 @@ IoStatus KddCache::write_prepared(Lba lba, std::span<const std::uint8_t> data,
 
 void KddCache::maybe_clean(IoPlan* plan) {
   if (cleaning_ || external_cleaner_) return;
-  maybe_gc(bg_or(plan));
-  const std::uint64_t high = effective_clean_high_pages();
+  const auto high = static_cast<std::uint64_t>(
+      config_.clean_high_watermark * static_cast<double>(sets_.pages()));
   if (old_pages_ + dez_pages_ <= high) return;
   cleaning_ = true;
   const obs::SpanScope span(obs::Stage::kClean);
@@ -1397,7 +1072,8 @@ std::size_t KddCache::destage_batch_size() const {
 }
 
 bool KddCache::destage_pending() const {
-  const std::uint64_t high = effective_clean_high_pages();
+  const auto high = static_cast<std::uint64_t>(
+      config_.clean_high_watermark * static_cast<double>(sets_.pages()));
   return old_pages_ + dez_pages_ > high &&
          claimed_groups_.size() < dirty_groups_.size();
 }
@@ -1670,8 +1346,6 @@ void KddCache::on_idle(IoPlan* plan) {
   // instead of recording every pass wholesale.
   const obs::TraceContextScope trace(obs::Stage::kClean);
   clean_all(plan);
-  // Idle time is also the cheapest time to compact fragmented DEZ extents.
-  maybe_gc(plan);
   // An idle device is the cheapest time to drain a partial segment, and it
   // bounds how long a committed page can sit in RAM.
   ssd_.force_seal(plan);
@@ -1720,7 +1394,7 @@ std::uint64_t KddCache::handle_ssd_failure() {
   dirty_groups_.clear();
   stale_since_.clear();
   old_pages_ = dez_pages_ = 0;
-  dez_space_.clear();
+  dez_live_bytes_ = dez_dead_bytes_ = 0;
   refresh_dez_gauges();
   return resynced;
 }
@@ -1730,8 +1404,7 @@ std::uint64_t KddCache::handle_ssd_failure() {
 // ---------------------------------------------------------------------------
 
 void KddCache::check_invariants() const {
-  std::unordered_map<std::uint32_t, std::uint16_t> dez_refs;  // dez slot -> #old refs
-  std::unordered_map<std::uint32_t, std::uint64_t> dez_ref_bytes;
+  std::unordered_map<std::uint32_t, DezRanges> dez_ranges;
   std::unordered_map<GroupId, std::uint32_t> group_old;
   std::uint64_t old_count = 0;
   std::uint64_t dez_count = 0;
@@ -1764,9 +1437,7 @@ void KddCache::check_invariants() const {
           } else {
             KDD_CHECK(s.dez_idx != CacheSets::kNone);
             KDD_CHECK(sets_.slot(s.dez_idx).state == PageState::kDelta);
-            KDD_CHECK(s.dez_off + s.dez_len <= kPageSize);
-            ++dez_refs[s.dez_idx];
-            dez_ref_bytes[s.dez_idx] += s.dez_len;
+            dez_ranges[s.dez_idx].emplace_back(s.dez_off, s.dez_off + s.dez_len);
           }
           break;
         }
@@ -1788,19 +1459,23 @@ void KddCache::check_invariants() const {
   KDD_CHECK(dez_count == dez_pages_);
   // Every staged delta belongs to exactly one old page and vice versa.
   KDD_CHECK(staged_refs == nvram_->staging.size());
-  // DEZ valid counts match the number of live references, and the extent
-  // accounting (live bytes / counts per DEZ page) matches the slot mappings.
-  for (const auto& [dez_idx, refs] : dez_refs) {
-    KDD_CHECK(sets_.slot(dez_idx).valid_count == refs);
-    KDD_CHECK(dez_space_.tracked(dez_idx));
-    const DezSpace::Extent& e = dez_space_.extent(dez_idx);
-    KDD_CHECK(e.live_count == refs);
-    KDD_CHECK(e.live_bytes == dez_ref_bytes.at(dez_idx));
-    KDD_CHECK(e.live_bytes <= e.tail && e.tail <= kPageSize);
+  // DEZ valid counts match the number of live references; the mapped ranges
+  // of a page never overlap and end within its packed bytes (<= kPageSize);
+  // the live/dead byte totals match the mappings.
+  std::uint64_t live_bytes = 0;
+  std::uint64_t packed_bytes = 0;
+  for (const auto& [dez_idx, ranges] : dez_ranges) {
+    const CacheSets::CacheSlot& page = sets_.slot(dez_idx);
+    KDD_CHECK(page.valid_count == ranges.size());
+    const DezCensus c = census_of(ranges);
+    KDD_CHECK(!c.overlap);
+    KDD_CHECK(c.end <= page.dez_len && page.dez_len <= kPageSize);
+    live_bytes += c.live_bytes;
+    packed_bytes += page.dez_len;
   }
-  std::uint64_t referenced_dez = dez_refs.size();
-  KDD_CHECK(referenced_dez == dez_count);  // no orphaned DEZ pages
-  KDD_CHECK(dez_space_.pages() == dez_count);
+  KDD_CHECK(dez_ranges.size() == dez_count);  // no orphaned DEZ pages
+  KDD_CHECK(live_bytes == dez_live_bytes_);
+  KDD_CHECK(packed_bytes - live_bytes == dez_dead_bytes_);
   // Dirty-group bookkeeping matches slot states, and stale groups at the
   // RAID layer are exactly the groups with pending deltas.
   KDD_CHECK(group_old.size() == dirty_groups_.size());
@@ -1851,39 +1526,32 @@ void KddCache::recover() {
       note_old_transition(idx);
     }
   }
-  // 3. Recompute DEZ page states and valid counts from the old pages, and
-  //    rebuild the extent census (tail is the max mapped end offset — a lower
-  //    bound on bytes ever packed, so restored extents stay closed; see
-  //    DezSpace::restore_page).
-  struct ExtentCensus {
-    std::uint32_t tail = 0, live_bytes = 0, live_count = 0;
-  };
-  std::unordered_map<std::uint32_t, ExtentCensus> census;
+  // 3. Recompute DEZ page states, valid counts and packed bytes from the
+  //    old pages' mappings.
+  std::unordered_map<std::uint32_t, DezRanges> dez_ranges;
   for (std::uint32_t i = 0; i < sets_.pages(); ++i) {
     const CacheSets::CacheSlot& s = sets_.slot(i);
     if (s.state != PageState::kOld) continue;
     if (s.dez_idx == CacheSets::kNone || s.dez_idx == CacheSets::kStaged) continue;
-    ExtentCensus& c = census[s.dez_idx];
-    c.tail = std::max(c.tail, static_cast<std::uint32_t>(s.dez_off + s.dez_len));
-    c.live_bytes += s.dez_len;
-    ++c.live_count;
+    dez_ranges[s.dez_idx].emplace_back(s.dez_off, s.dez_off + s.dez_len);
   }
-  // Mixed-generation audit. A mapping's supersede (a destage record or a GC
-  // relocation) can ride a metadata-log page that died with the torn segment
-  // after the NVRAM buffer evicted it, while mappings minted later survive in
-  // NVRAM — so the replay can resurrect a stale mapping generation alongside
-  // a durable newer one for the same DEZ page. That surfaces as a census that
-  // is self-inconsistent: summed live bytes exceeding the max end offset, or
-  // an end offset past the page. None of the extent's mappings can be told
-  // apart by generation, and the RAID copy of every mapped page is current
-  // (write_page_nopar lands before any delta is staged), so drop every
-  // mapping into the extent; the affected groups resync from data below.
-  std::unordered_set<std::uint32_t> mixed;
-  for (const auto& [dez_idx, c] : census) {
-    if (c.tail > kPageSize || c.live_bytes > c.tail) mixed.insert(dez_idx);
-  }
-  for (const std::uint32_t dez_idx : mixed) {
-    census.erase(dez_idx);
+  // Mixed-generation audit. A destage supersede can ride a metadata-log page
+  // that died in a torn staged segment after the NVRAM buffer evicted it,
+  // while the DEZ page it freed was reused by a later commit whose mappings
+  // survive in NVRAM — so the replay resurrects a stale mapping generation
+  // alongside a durable newer one for the same DEZ page. That surfaces as
+  // mapped ranges that overlap or run past the page. The mappings cannot be
+  // told apart by generation, and the RAID copy of every mapped page is
+  // current (write_page_nopar lands before any delta is staged), so drop
+  // every mapping into the page; the affected groups resync from data below.
+  for (auto it = dez_ranges.begin(); it != dez_ranges.end();) {
+    const DezCensus c = census_of(it->second);
+    if (!c.overlap && c.end <= kPageSize) {
+      ++it;
+      continue;
+    }
+    const std::uint32_t dez_idx = it->first;
+    it = dez_ranges.erase(it);
     note_media_fallback("mixed-generation dez mappings at recovery");
     ssd_.trim_data(dez_idx);
     for (std::uint32_t i = 0; i < sets_.pages(); ++i) {
@@ -1895,20 +1563,17 @@ void KddCache::recover() {
       drop_old_page(i, nullptr);
     }
   }
-  for (std::uint32_t i = 0; i < sets_.pages(); ++i) {
-    const CacheSets::CacheSlot& s = sets_.slot(i);
-    if (s.state != PageState::kOld) continue;
-    if (s.dez_idx == CacheSets::kNone || s.dez_idx == CacheSets::kStaged) continue;
-    CacheSets::CacheSlot& dez = sets_.slot(s.dez_idx);
-    if (dez.state != PageState::kDelta) {
-      sets_.set_state(s.dez_idx, PageState::kDelta);
-      dez.valid_count = 0;
-      ++dez_pages_;
-    }
-    ++dez.valid_count;
-  }
-  for (const auto& [dez_idx, c] : census) {
-    dez_space_.restore_page(dez_idx, c.tail, c.live_bytes, c.live_count);
+  for (const auto& [dez_idx, ranges] : dez_ranges) {
+    // The largest mapped end is a lower bound on the bytes packed into the
+    // page; write-once pages are never refilled, so that is all we need.
+    const DezCensus c = census_of(ranges);
+    sets_.set_state(dez_idx, PageState::kDelta);
+    CacheSets::CacheSlot& dez = sets_.slot(dez_idx);
+    dez.valid_count = static_cast<std::uint16_t>(ranges.size());
+    dez.dez_len = static_cast<std::uint16_t>(c.end);
+    ++dez_pages_;
+    dez_live_bytes_ += c.live_bytes;
+    dez_dead_bytes_ += c.end - c.live_bytes;
   }
   // 4. Overlay the staged deltas from NVRAM: they supersede any DEZ-resident
   //    delta recorded in the log for the same page. A staged delta whose slot
@@ -1928,15 +1593,7 @@ void KddCache::recover() {
       note_old_transition(sd.daz_idx);
     } else {
       if (s.dez_idx != CacheSets::kStaged && s.dez_idx != CacheSets::kNone) {
-        CacheSets::CacheSlot& dez = sets_.slot(s.dez_idx);
-        KDD_CHECK(dez.state == PageState::kDelta && dez.valid_count > 0);
-        dez_space_.on_dead(s.dez_idx, s.dez_len);
-        if (--dez.valid_count == 0) {
-          ssd_.trim_data(s.dez_idx);
-          sets_.reset_slot(s.dez_idx);
-          dez_space_.on_free(s.dez_idx);
-          --dez_pages_;
-        }
+        release_dez_ref(s.dez_idx, s.dez_len);
       }
     }
     s.dez_idx = CacheSets::kStaged;

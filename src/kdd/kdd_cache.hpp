@@ -19,13 +19,11 @@
 //   clean -> free          LRU eviction
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "cache/dez_space.hpp"
 #include "cache/ghost_lru.hpp"
 #include "cache/metadata_log.hpp"
 #include "cache/nvram.hpp"
@@ -154,32 +152,11 @@ class KddCache final : public BlockCacheBase,
   /// succeeded after the cache folded the group's deltas and retried.
   std::uint64_t degraded_delta_folds() const { return degraded_delta_folds_; }
 
-  // -- Elastic delta zone (src/cache/dez_space.hpp; ROADMAP item 3) ---------
-  /// Packed bytes still referenced / already invalidated across all DEZ
-  /// pages. dead > 0 is fragmentation the GC can reclaim.
-  std::uint64_t dez_live_bytes() const { return dez_space_.live_bytes(); }
-  std::uint64_t dez_dead_bytes() const { return dez_space_.dead_bytes(); }
-  /// Adaptive DAZ/DEZ boundary: the current cap on DEZ pages (0 = static
-  /// layout, no cap).
-  std::uint64_t dez_boundary_pages() const { return dez_limit_pages_; }
-  /// Headroom between the boundary and actual DEZ usage — capacity the
-  /// elastic manager reclaimed vs a static layout, spent as burst/degraded
-  /// cleaning slack (see effective_clean_high_pages()).
-  std::uint64_t elastic_spare_pages() const;
-  /// Cleaning high watermark in pages after the elastic-spare boost (equals
-  /// the configured watermark whenever the spare is zero).
-  std::uint64_t effective_clean_high_pages() const;
-  std::uint64_t gc_passes() const { return gc_passes_; }
-  std::uint64_t gc_pages_reclaimed() const { return gc_pages_reclaimed_; }
-  std::uint64_t gc_deltas_relocated() const { return gc_deltas_relocated_; }
-  std::uint64_t boundary_moves() const { return boundary_moves_; }
-  const DezSpace& dez_space() const { return dez_space_; }
-  /// Test hook: invoked immediately before every GC relocation write hits the
-  /// cache device. The torture harness uses it to pin a power cut
-  /// mid-relocation (see tests/test_torture.cpp).
-  void set_gc_write_hook(std::function<void()> hook) {
-    gc_write_hook_ = std::move(hook);
-  }
+  /// Packed delta bytes still referenced / already invalidated across all
+  /// DEZ pages. A DEZ page is write-once, so its dead bytes stay in place
+  /// until its last live delta is cleaned and the whole page is freed.
+  std::uint64_t dez_live_bytes() const { return dez_live_bytes_; }
+  std::uint64_t dez_dead_bytes() const { return dez_dead_bytes_; }
 
   /// Exhaustively validates the internal data-structure invariants (per-set
   /// counters, delta bookkeeping, DEZ valid counts, dirty-group accounting,
@@ -237,49 +214,21 @@ class KddCache final : public BlockCacheBase,
 
   void stage_delta(Lba lba, std::uint32_t daz_idx, DeltaInfo info, IoPlan* plan);
 
-  /// Packs all staged deltas into DEZ pages (Section III-B). With
-  /// config_.dez_elastic the tail slack of open extents is filled first.
+  /// Packs all staged deltas, first-fit in FIFO order, into fresh DEZ pages
+  /// (Section III-B). DEZ pages are write-once: a page is never refilled,
+  /// only freed when its last delta is cleaned.
   void commit_staging(IoPlan* plan);
 
-  /// One packed delta headed for (or moving within) the DEZ.
-  struct DezItem {
-    std::uint32_t daz_idx = 0;
-    Lba lba = kInvalidLba;
-    std::uint32_t packed = 0;
-    Delta* blob = nullptr;  ///< real payload (prototype mode)
-  };
-  enum class DezWriteResult { kOk, kDestUnreadable, kUnwritable };
+  /// Packs `run` into the fresh DEZ page `dest` (offsets are a running sum
+  /// from 0), writes the page, then repoints each source DAZ slot and logs
+  /// its mapping. Write-before-map: the page is on media before any metadata
+  /// names it. Returns false, touching no state, when the write fails.
+  bool write_dez_run(std::uint32_t dest, std::span<const StagedDelta> run,
+                     IoPlan* plan);
 
-  /// One DEZ destination write, shared by the commit path and the GC
-  /// relocator: packs `run` at the extent tail (append) or from offset 0
-  /// (fresh page), writes the page image with `kind`, and on success repoints
-  /// each source DAZ slot and logs the new mapping. Write-before-map: the
-  /// page is on media before any metadata names it. On failure no state is
-  /// touched — the caller decides between fallback-fold and group healing.
-  DezWriteResult write_dez_run(std::uint32_t dest, bool append,
-                               std::span<DezItem> run, SsdWriteKind kind,
-                               IoPlan* plan);
-
-  /// heal_group for every group holding a live delta in DEZ page `dez_idx`
-  /// (used when a torn extent rewrite destroys pre-existing deltas).
-  void heal_dez_page(std::uint32_t dez_idx, IoPlan* plan);
-
-  /// Delta-zone GC/defrag (config_.dez_gc): relocates the live deltas of
-  /// fragmented DEZ pages via write_dez_run and frees the victims.
-  void maybe_gc(IoPlan* plan);
-  void gc_relocate_page(std::uint32_t victim, IoPlan* plan);
-
-  /// Adaptive DAZ/DEZ boundary (config_.adaptive_boundary): epoch-based,
-  /// dead-banded, bounded-step adjustment of dez_limit_pages_ from the
-  /// compressibility EWMA and the ghost-LRU miss signal.
-  void update_boundary(IoPlan* plan);
-  std::uint64_t boundary_target_pages() const;
-  void note_compressibility(double packed_ratio);
-  void note_boundary_miss(Lba lba);
-  /// Largest packed delta admitted to the deferred-parity path; drops below
-  /// kPageSize when the adaptive boundary is saturated (marginal deltas go
-  /// write-through instead of ballooning an incompressible DEZ).
-  std::uint32_t delta_admit_limit() const;
+  /// Drops one live delta of `len` bytes from DEZ page `dez_idx` and frees
+  /// the page when that was its last one.
+  void release_dez_ref(std::uint32_t dez_idx, std::uint32_t len);
 
   /// Pushes the kdd_dez_* gauges into the global registry.
   void refresh_dez_gauges();
@@ -366,28 +315,14 @@ class KddCache final : public BlockCacheBase,
   std::uint64_t op_counter_ = 0;     ///< requests processed
   std::uint64_t old_pages_ = 0;
   std::uint64_t dez_pages_ = 0;
+  std::uint64_t dez_live_bytes_ = 0;  ///< see dez_live_bytes()
+  std::uint64_t dez_dead_bytes_ = 0;  ///< see dez_dead_bytes()
   std::uint64_t delta_fallbacks_ = 0;  ///< oversized-delta fallbacks taken
   std::uint64_t media_fallbacks_ = 0;  ///< cache faults served from RAID
   std::uint64_t groups_healed_ = 0;    ///< heal_group invocations
   std::uint64_t degraded_cache_hits_ = 0;   ///< lost pages served from cache
   std::uint64_t degraded_delta_folds_ = 0;  ///< fold-then-retry recoveries
   bool cleaning_ = false;
-
-  // -- Elastic delta zone ---------------------------------------------------
-  DezSpace dez_space_;  ///< per-DEZ-page extent accounting (always on)
-  std::unique_ptr<GhostLru> boundary_ghost_;  ///< adaptive_boundary miss signal
-  std::uint64_t dez_limit_pages_ = 0;  ///< adaptive DEZ cap; 0 = uncapped
-  double comp_ewma_ = 0.5;             ///< rolling packed/page estimate
-  std::uint64_t last_boundary_op_ = 0;
-  std::uint64_t boundary_epoch_misses_ = 0;
-  std::uint64_t boundary_epoch_ghost_hits_ = 0;
-  std::int8_t boundary_pending_dir_ = 0;  ///< last epoch's out-of-band side
-  std::uint64_t boundary_moves_ = 0;
-  std::uint64_t gc_passes_ = 0;
-  std::uint64_t gc_pages_reclaimed_ = 0;
-  std::uint64_t gc_deltas_relocated_ = 0;
-  bool in_gc_ = false;
-  std::function<void()> gc_write_hook_;  ///< see set_gc_write_hook
 };
 
 }  // namespace kdd

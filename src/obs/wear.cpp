@@ -64,8 +64,6 @@ std::string WearSeries::jsonl_line(const WearSample& s) const {
   append_kv_u64(out, "log_used_pages", s.log_used_pages, &first);
   append_kv_u64(out, "dez_live_bytes", s.dez_live_bytes, &first);
   append_kv_u64(out, "dez_dead_bytes", s.dez_dead_bytes, &first);
-  append_kv_u64(out, "dez_boundary_pages", s.dez_boundary_pages, &first);
-  append_kv_u64(out, "dez_spare_pages", s.dez_spare_pages, &first);
   append_kv_f64(out, "write_amplification", s.write_amplification, &first);
   append_kv_f64(out, "endurance_consumed", s.endurance_consumed, &first);
   append_kv_f64(out, "mean_latency_us", s.mean_latency_us, &first);

@@ -56,9 +56,7 @@ struct WearSample {
   std::uint64_t staged_deltas = 0;  ///< NVRAM staging occupancy
   std::uint64_t log_used_pages = 0; ///< metadata-log fill (pages)
   std::uint64_t dez_live_bytes = 0;  ///< packed delta bytes still referenced
-  std::uint64_t dez_dead_bytes = 0;  ///< fragmentation the delta-zone GC can reclaim
-  std::uint64_t dez_boundary_pages = 0;  ///< adaptive DAZ/DEZ cap (0 = static)
-  std::uint64_t dez_spare_pages = 0;     ///< elastic spare under the boundary
+  std::uint64_t dez_dead_bytes = 0;  ///< invalidated bytes left in live DEZ pages
   double write_amplification = 0.0; ///< FTL WA so far (prototype mode)
   double endurance_consumed = 0.0;  ///< fraction of P/E budget burned
 

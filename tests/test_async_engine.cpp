@@ -336,14 +336,20 @@ struct OnlineAsyncRig {
       : array(engine_geo()), ssd(EngineRig::ssd_cfg()), nvram(kPageSize, 255),
         engine(&array, slow_rebuild()),
         kdd(EngineRig::cache_cfg(), &array, &ssd, &nvram),
-        cache(&kdd, &array.layout(), std::chrono::milliseconds(2)) {
-    kdd.bind_rebuild_engine(&engine);
+        cache(&bind(kdd, engine), &array.layout(), std::chrono::milliseconds(2)) {
     AsyncEngineOptions opts;
     opts.workers = 2;
     opts.shard_queue_depth = 32;
     opts.high_watermark = 256;
     opts.low_watermark = 128;
     cache.start_async(opts);
+  }
+
+  /// Binds the rebuild engine before the facade exists: its cleaner thread
+  /// starts in the ConcurrentCache constructor and reads the binding.
+  static KddCache& bind(KddCache& kdd, RebuildEngine& engine) {
+    kdd.bind_rebuild_engine(&engine);
+    return kdd;
   }
 
   RaidArray array;
@@ -405,23 +411,30 @@ TEST(AsyncEngineStress, SubmittersRacingCompletionsFlushAndDiskFailure) {
       Rng rng(500 + t);
       // Each submitter owns the parity groups congruent to its id, so the
       // per-group order invariant holds without cross-thread coordination.
+      // Completions arrive out of order, so a buffer slot is reused only
+      // once the completion of the request that owns it has fired.
       std::vector<Page> slots(8, make_page());
-      std::atomic<unsigned> outstanding{0};
+      std::vector<std::atomic<bool>> busy(slots.size());
+      const auto free_slot = [&busy] {
+        for (;;) {
+          for (unsigned s = 0; s < busy.size(); ++s) {
+            if (!busy[s].load(std::memory_order_acquire)) return s;
+          }
+          std::this_thread::yield();
+        }
+      };
       for (int i = 0; i < kOpsPerThread; ++i) {
         Lba lba = rng.next_below(span);
         while (rig.array.layout().group_of(lba) % kSubmitters != t) {
           lba = rng.next_below(span);
         }
-        while (outstanding.load(std::memory_order_acquire) >= slots.size()) {
-          std::this_thread::yield();
-        }
-        const unsigned slot = static_cast<unsigned>(i) % slots.size();
-        auto cb = [&completions, &outstanding](IoStatus st) {
-          ASSERT_EQ(st, IoStatus::kOk);
+        const unsigned slot = free_slot();
+        auto cb = [&completions, &busy, slot](IoStatus st) {
+          EXPECT_EQ(st, IoStatus::kOk);
           completions.fetch_add(1, std::memory_order_relaxed);
-          outstanding.fetch_sub(1, std::memory_order_release);
+          busy[slot].store(false, std::memory_order_release);
         };
-        outstanding.fetch_add(1, std::memory_order_relaxed);
+        busy[slot].store(true, std::memory_order_relaxed);
         bool ok;
         if (rng.next_bool(0.7)) {
           fill_replay_page(lba, static_cast<std::uint64_t>(i), 7, slots[slot]);
@@ -431,11 +444,11 @@ TEST(AsyncEngineStress, SubmittersRacingCompletionsFlushAndDiskFailure) {
         }
         if (!ok) {
           // Quiesce window (disk failure below): drop and move on.
-          outstanding.fetch_sub(1, std::memory_order_release);
+          busy[slot].store(false, std::memory_order_relaxed);
         }
       }
-      while (outstanding.load(std::memory_order_acquire) != 0) {
-        std::this_thread::yield();
+      for (const std::atomic<bool>& b : busy) {
+        while (b.load(std::memory_order_acquire)) std::this_thread::yield();
       }
     });
   }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+#include <vector>
+
 #include "compress/content.hpp"
 #include "harness/harness.hpp"
 #include "raid/rebuild.hpp"
@@ -447,6 +450,102 @@ TEST(KddFailure, PowerFailureThenMoreWritesStaysConsistent) {
   rig.kdd = std::make_unique<KddCache>(small_config(), &rig.array, &rig.ssd,
                                        &rig.nvram, /*recover=*/true);
   rig.run_workload(1500, 0.25, 33);
+  rig.kdd->flush(nullptr);
+  EXPECT_TRUE(rig.array.scrub().empty());
+  rig.verify_reads();
+}
+
+// Mixed-generation audit at recovery: a destage supersede lost in a torn
+// staged segment can leave a stale mapping into a DEZ page that was reused
+// by a later commit. Forge that signature — two surviving mappings whose
+// packed ranges overlap in one DEZ page — and check that recovery drops
+// every mapping into the page and resyncs the affected groups from data.
+TEST(KddFailure, MixedGenerationDezMappingsDroppedAtRecovery) {
+  CrashRig rig;
+  rig.run_workload(1500, 0.25, 36);
+  // Two DEZ-resident old pages packed into the same DEZ page.
+  const CacheSets& sets = rig.kdd->sets();
+  std::uint32_t a = CacheSets::kNone;
+  std::uint32_t b = CacheSets::kNone;
+  for (std::uint32_t i = 0; i < sets.pages() && b == CacheSets::kNone; ++i) {
+    const CacheSets::CacheSlot& s = sets.slot(i);
+    if (s.state != PageState::kOld || s.dez_idx == CacheSets::kStaged) continue;
+    if (a == CacheSets::kNone) {
+      a = i;
+    } else if (s.dez_idx == sets.slot(a).dez_idx) {
+      b = i;
+    }
+  }
+  ASSERT_NE(b, CacheSets::kNone) << "workload left no DEZ page with two deltas";
+  const std::uint32_t dez = sets.slot(a).dez_idx;
+  std::vector<std::uint32_t> mapped;  // every old page mapped into `dez`
+  std::unordered_set<GroupId> groups;
+  for (std::uint32_t i = 0; i < sets.pages(); ++i) {
+    const CacheSets::CacheSlot& s = sets.slot(i);
+    if (s.state == PageState::kOld && s.dez_idx == dez) {
+      mapped.push_back(i);
+      groups.insert(rig.array.layout().group_of(s.lba));
+    }
+  }
+
+  // The surviving stale generation: b's mapping now overlaps a's range.
+  MetadataEntry forged;
+  forged.daz_idx = b;
+  forged.lba_raid = sets.slot(b).lba;
+  forged.state = PageState::kOld;
+  forged.dez_idx = dez;
+  forged.dez_off = sets.slot(a).dez_off;
+  forged.dez_len = sets.slot(b).dez_len;
+  rig.nvram.metadata.put(forged);
+
+  rig.kdd = std::make_unique<KddCache>(small_config(), &rig.array, &rig.ssd,
+                                       &rig.nvram, /*recover=*/true);
+  EXPECT_EQ(rig.kdd->media_fallbacks(), 1u);
+  for (const std::uint32_t i : mapped) {
+    EXPECT_NE(rig.kdd->sets().slot(i).state, PageState::kOld) << "slot " << i;
+  }
+  EXPECT_NE(rig.kdd->sets().slot(dez).state, PageState::kDelta);
+  // A dropped group stays stale only while another of its pages still
+  // carries a pending delta; otherwise recovery resynced it from data.
+  for (const GroupId g : groups) {
+    bool pending = false;
+    for (std::uint32_t i = 0; i < rig.kdd->sets().pages(); ++i) {
+      const CacheSets::CacheSlot& s = rig.kdd->sets().slot(i);
+      pending |= s.state == PageState::kOld &&
+                 rig.array.layout().group_of(s.lba) == g;
+    }
+    EXPECT_EQ(rig.array.group_stale(g), pending) << "group " << g;
+  }
+  rig.kdd->check_invariants();
+  rig.verify_reads();
+  rig.kdd->flush(nullptr);
+  EXPECT_TRUE(rig.array.scrub().empty());
+  rig.verify_reads();
+}
+
+// A clean write hit whose DAZ base is unreadable falls back to a plain
+// write-through and rewrites the cache copy, which heals the sector.
+TEST(KddFailure, CleanWriteHitOnUnreadableDazFallsBackToRaid) {
+  CrashRig rig;
+  const Lba lba = 7;
+  const Page v1 = test_page(lba, 1);
+  ASSERT_EQ(rig.kdd->write(lba, v1, nullptr), IoStatus::kOk);
+  rig.model.write(lba, v1);
+  std::uint32_t idx = CacheSets::kNone;
+  for (std::uint32_t i = 0; i < rig.kdd->sets().pages(); ++i) {
+    const CacheSets::CacheSlot& s = rig.kdd->sets().slot(i);
+    if (s.state == PageState::kClean && s.lba == lba) idx = i;
+  }
+  ASSERT_NE(idx, CacheSets::kNone);
+  rig.kdd->cache_ssd().faults()->inject_media_error(
+      rig.kdd->cache_ssd().metadata_pages() + idx);
+
+  const Page v2 = test_page(lba, 2);
+  const std::uint64_t fallbacks = rig.kdd->media_fallbacks();
+  EXPECT_EQ(rig.kdd->write(lba, v2, nullptr), IoStatus::kOk);
+  rig.model.write(lba, v2);
+  EXPECT_EQ(rig.kdd->media_fallbacks(), fallbacks + 1);
+  rig.verify_reads();
   rig.kdd->flush(nullptr);
   EXPECT_TRUE(rig.array.scrub().empty());
   rig.verify_reads();
