@@ -1,9 +1,10 @@
 // Micro-benchmarks of the primitives on KDD's hot paths: the LZ codec,
-// delta generation/application, GF(256) parity arithmetic, RAID-5 RMW, the
-// cache index and the samplers.
+// delta generation/application, GF(256) parity arithmetic, the device page
+// tag, RAID-5 RMW, the cache index and the samplers.
 #include <benchmark/benchmark.h>
 
 #include "cache/sets.hpp"
+#include "common/hash.hpp"
 #include "common/kernels.hpp"
 #include "common/page_arena.hpp"
 #include "common/rng.hpp"
@@ -116,6 +117,26 @@ void BM_AllZero(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * kPageSize);
 }
 BENCHMARK(BM_AllZero);
+
+// The device integrity tag every simulated read and write computes, and the
+// byte-wise FNV-1a it replaced there (perf_gate gates the ratio).
+void BM_PageTag(benchmark::State& state) {
+  const Page p = random_page(7);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(page_tag(p));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * kPageSize);
+}
+BENCHMARK(BM_PageTag);
+
+void BM_Fnv1a(benchmark::State& state) {
+  const Page p = random_page(7);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fnv1a(kFnvOffset, p));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * kPageSize);
+}
+BENCHMARK(BM_Fnv1a);
 
 void BM_Gf256MulAccScalarRef(benchmark::State& state) {
   // The pre-dispatch log/exp loop, kept as the comparison baseline.

@@ -24,6 +24,9 @@
 //     update_parity_rmw_batch pass (one parity read/write pair per group)
 //     must be >= 2x faster than the legacy per-page protocol (one parity
 //     read/write pair per delta),
+//   * device integrity tag: page_tag over a 4 KiB page must be >= 4x faster
+//     than byte-wise FNV-1a over the same page (the hash it replaced on every
+//     simulated device read and write),
 //   * cleaner-pool replay (only on machines with >= 4 hardware threads): a
 //     4-submitter fin1 replay over ConcurrentCache with a 4-worker cleaner
 //     pool must be >= 1.5x faster than the same replay with the serial idle
@@ -56,9 +59,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cache/segment.hpp"
-
 #include "common/bytes.hpp"
+#include "common/hash.hpp"
 #include "common/kernels.hpp"
 #include "common/rng.hpp"
 #include "compress/content.hpp"
@@ -285,10 +287,10 @@ SegmentCommitRun run_segment_commit(bool staged) {
   kdd.flush(nullptr);
   SegmentCommitRun r;
   r.ms = (now_ns() - t0) / 1e6;
-  std::uint64_t h = SegmentStager::kFnvSeed;
+  std::uint64_t h = kFnvOffset;
   for (Lba lba = 0; lba < span; ++lba) {
     if (kdd.read(lba, buf, nullptr) != IoStatus::kOk) std::abort();
-    h = SegmentStager::fnv1a(h, buf);
+    h = fnv1a(h, buf);
   }
   r.digest = h;
   r.write_ops = kdd.cache_ssd().write_ops();
@@ -440,6 +442,17 @@ int run(int argc, char** argv) {
                    }, {}, {}});
   // Warm the delta scratch so apply_delta measures a valid delta.
   make_delta_into(d_base, d_mut, d_scratch);
+
+  // Device integrity tag (no seed baseline): page_tag, which every simulated
+  // device read and write computes, against the byte-wise FNV-1a it
+  // replaced there. Neither ever returns 0 for these pages, so the checks
+  // only keep the calls alive.
+  cases.push_back({"page_tag_4k", 0.0, kPageSize, [&] {
+                     if (page_tag(xb) == 0) std::abort();
+                   }, {}, {}});
+  cases.push_back({"fnv1a_4k", 0.0, kPageSize, [&] {
+                     if (fnv1a(kFnvOffset, xb) == 0) std::abort();
+                   }, {}, {}});
 
   // Observability primitives (new in the telemetry overhaul: no seed
   // baseline). The enabled-span case bounds the ring to keep memory flat;
@@ -620,6 +633,8 @@ int run(int argc, char** argv) {
   double roundtrip_improvement = 0.0;
   double destage_serial_ns = 0.0;
   double destage_batch_ns = 0.0;
+  double page_tag_ns = 0.0;
+  double fnv1a_ns = 0.0;
   for (const Result& r : results) {
     if (std::strcmp(r.name, "gf256_mul_acc_4k") == 0) mul_speedup = r.speedup;
     if (std::strcmp(r.name, "delta_roundtrip") == 0) {
@@ -631,9 +646,12 @@ int run(int argc, char** argv) {
     if (std::strcmp(r.name, "destage_batch_4g") == 0) {
       destage_batch_ns = r.after_ns;
     }
+    if (std::strcmp(r.name, "page_tag_4k") == 0) page_tag_ns = r.after_ns;
+    if (std::strcmp(r.name, "fnv1a_4k") == 0) fnv1a_ns = r.after_ns;
   }
   const double destage_speedup =
       destage_batch_ns > 0 ? destage_serial_ns / destage_batch_ns : 0.0;
+  const double page_tag_speedup = page_tag_ns > 0 ? fnv1a_ns / page_tag_ns : 0.0;
 
   const double replay_off_ms = replay.off_ms;
   const double replay_on_ms = replay.on_ms;
@@ -701,7 +719,7 @@ int run(int argc, char** argv) {
 
   const bool pass = mul_speedup >= 3.0 && roundtrip_improvement >= 0.30 &&
                     (!telemetry_gates || obs_overhead <= 0.05) &&
-                    destage_speedup >= 2.0 &&
+                    destage_speedup >= 2.0 && page_tag_speedup >= 4.0 &&
                     seg_reduction >= 4.0 && seg_digests_match &&
                     (!pool.gates || pool.speedup >= 1.5) &&
                     (!scaling_gates || scaling_speedup >= 3.0);
@@ -709,13 +727,14 @@ int run(int argc, char** argv) {
               "delta_roundtrip %.1f%% fewer ns/op (need >= 30.0%%), "
               "telemetry overhead %.1f%% (%s), "
               "destage batch speedup %.2fx (need >= 2.00x), "
+              "page_tag speedup %.2fx over fnv1a (need >= 4.00x), "
               "segment commit %.2fx fewer cmds (need >= 4.00x, digests %s), "
               "pool replay speedup %.2fx (%s), "
               "concurrent scaling %.2fx (%s) -> %s\n",
               mul_speedup, roundtrip_improvement * 100.0,
               obs_overhead * 100.0,
               telemetry_gates ? "need <= 5.0%" : "recorded, not gated",
-              destage_speedup, seg_reduction,
+              destage_speedup, page_tag_speedup, seg_reduction,
               seg_digests_match ? "match" : "DIFFER", pool.speedup,
               pool.gates ? "need >= 1.50x" : "recorded, not gated",
               scaling_speedup,
@@ -791,6 +810,7 @@ int run(int argc, char** argv) {
                  "\"delta_roundtrip_min_improvement\": 0.30, "
                  "\"telemetry_max_overhead\": 0.05, "
                  "\"destage_batch_min_speedup\": 2.0, "
+                 "\"page_tag_min_speedup\": 4.0, "
                  "\"segment_commit_min_reduction\": 4.0, "
                  "\"pool_replay_min_speedup\": 1.5, "
                  "\"concurrent_scaling_min_speedup\": 3.0, "
@@ -799,6 +819,7 @@ int run(int argc, char** argv) {
                  "\"telemetry_overhead\": %.4f, "
                  "\"telemetry_gated\": %s, "
                  "\"destage_batch_speedup\": %.2f, "
+                 "\"page_tag_speedup\": %.2f, "
                  "\"segment_commit_reduction\": %.2f, "
                  "\"segment_digests_match\": %s, "
                  "\"pool_replay_speedup\": %.2f, "
@@ -807,7 +828,7 @@ int run(int argc, char** argv) {
                  "\"concurrent_scaling_gated\": %s, \"pass\": %s}\n",
                  mul_speedup, roundtrip_improvement, obs_overhead,
                  telemetry_gates ? "true" : "false",
-                 destage_speedup, seg_reduction,
+                 destage_speedup, page_tag_speedup, seg_reduction,
                  seg_digests_match ? "true" : "false",
                  pool.speedup, pool.gates ? "true" : "false",
                  scaling_speedup, scaling_gates ? "true" : "false",

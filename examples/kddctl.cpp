@@ -35,6 +35,7 @@
 #include "blockdev/ssd_model.hpp"
 #include "cache/backend.hpp"
 #include "cache/segment.hpp"
+#include "common/hash.hpp"
 #include "common/stats.hpp"
 #include "compress/content.hpp"
 #include "kdd/kdd_cache.hpp"
@@ -95,11 +96,7 @@ struct Controller {
     kdd = std::make_unique<KddCache>(cfg, &array, &ssd, &nvram, recover);
   }
 
-  std::uint64_t fingerprint(const Page& p) const {
-    std::uint64_t h = 1469598103934665603ull;
-    for (const std::uint8_t b : p) h = (h ^ b) * 1099511628211ull;
-    return h;
-  }
+  std::uint64_t fingerprint(const Page& p) const { return fnv1a(1469598103934665603ull, p); }
 
   RaidArray array;
   SsdModel ssd;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/hash.hpp"
 #include "obs/flight.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -55,17 +56,7 @@ FaultInjectingDevice::FaultInjectingDevice(BlockDevice* inner, FaultConfig confi
       rng_(config.seed),
       rail_(std::make_shared<PowerRail>()) {
   KDD_CHECK(inner != nullptr);
-}
-
-std::uint64_t FaultInjectingDevice::page_checksum(std::span<const std::uint8_t> data) {
-  // 64-bit FNV-1a: fast enough for the 4 KiB hot path, strong enough that a
-  // stale checksum reliably flags bit rot (models a T10-DIF-style tag).
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::uint8_t b : data) {
-    h ^= b;
-    h *= 0x100000001b3ull;
-  }
-  return h;
+  tags_.assign(inner_->num_pages(), 0);
 }
 
 void FaultInjectingDevice::attach_rail(std::shared_ptr<PowerRail> rail) {
@@ -90,7 +81,7 @@ void FaultInjectingDevice::inject_bit_rot(Lba page, std::uint8_t xor_mask) {
   KDD_CHECK(st == IoStatus::kOk);
   for (auto& b : buf) b ^= xor_mask;
   KDD_CHECK(inner_->write(page, buf) == IoStatus::kOk);
-  // Deliberately leave checksums_ stale: the corruption is silent.
+  // Deliberately leave tags_ stale: the corruption is silent.
   ++fault_counters_.bit_rot_injected;
   fault_metrics().bit_rot_injected.inc();
   KDD_LOG(Debug, "fault: bit rot injected page=%llu mask=0x%02x",
@@ -104,7 +95,7 @@ void FaultInjectingDevice::arm_power_cut(std::uint64_t after_writes) {
 
 void FaultInjectingDevice::clear_faults() {
   media_errors_.clear();
-  checksums_.clear();
+  std::fill(tags_.begin(), tags_.end(), 0);
 }
 
 IoStatus FaultInjectingDevice::read(Lba page, std::span<std::uint8_t> out) {
@@ -135,13 +126,13 @@ IoStatus FaultInjectingDevice::read(Lba page, std::span<std::uint8_t> out) {
   const IoStatus st = inner_->read(page, out);
   if (st != IoStatus::kOk) return st;
   if (config_.verify_reads) {
-    const auto it = checksums_.find(page);
-    if (it != checksums_.end() && it->second != page_checksum(out)) {
+    const std::uint64_t tag = tags_[page];
+    if (tag != 0 && tag != page_tag(out)) {
       ++fault_counters_.corruptions_detected;
       fault_metrics().corruptions_detected.inc();
       obs::flight_note(obs::FlightKind::kFault, "checksum_mismatch",
                        static_cast<std::int64_t>(page));
-      KDD_LOG(Warn, "fault: checksum mismatch (bit rot?) page=%llu",
+      KDD_LOG(Warn, "fault: tag mismatch (bit rot?) page=%llu",
               static_cast<unsigned long long>(page));
       return IoStatus::kCorrupt;  // data was transferred; caller may inspect
     }
@@ -164,7 +155,7 @@ IoStatus FaultInjectingDevice::do_torn_write(Lba page,
   std::memcpy(torn.data(), data.data(), keep * kSectorSize);
   const IoStatus st = inner_->write(page, torn);
   if (st == IoStatus::kOk) {
-    checksums_[page] = page_checksum(torn);
+    tags_[page] = page_tag(torn);
     ++media_writes_;
   }
   ++fault_counters_.torn_writes;
@@ -203,7 +194,7 @@ IoStatus FaultInjectingDevice::write(Lba page, std::span<const std::uint8_t> dat
   const IoStatus st = inner_->write(page, data);
   if (st != IoStatus::kOk) return st;
   ++media_writes_;
-  checksums_[page] = page_checksum(data);
+  tags_[page] = page_tag(data);
   if (media_errors_.erase(page) > 0) {
     ++fault_counters_.media_errors_healed;
     fault_metrics().media_errors_healed.inc();
@@ -234,7 +225,7 @@ IoStatus FaultInjectingDevice::write_multi(std::span<const PageWrite> batch,
     const IoStatus inner_st = inner_->write_multi(run, &inner_done);
     for (std::size_t k = 0; k < inner_done; ++k) {
       ++media_writes_;
-      checksums_[run[k].page] = page_checksum(run[k].data);
+      tags_[run[k].page] = page_tag(run[k].data);
       if (media_errors_.erase(run[k].page) > 0) {
         ++fault_counters_.media_errors_healed;
         fault_metrics().media_errors_healed.inc();
@@ -289,7 +280,7 @@ void FaultInjectingDevice::trim(Lba page) {
   ++counters_.trims;
   if (!rail_->on() || failed()) return;
   media_errors_.erase(page);
-  checksums_.erase(page);
+  tags_[page] = 0;
   inner_->trim(page);
 }
 

@@ -15,10 +15,11 @@
 //                              PowerRail drops and every device on it fails
 //                              all I/O until power_restore().
 //   * silent bit rot         — inject_bit_rot flips bits behind the
-//                              checksum's back; with verify_reads enabled the
-//                              per-page checksum (modelling T10-DIF / on-disk
-//                              ECC) surfaces it as kCorrupt (data is still
-//                              transferred so scrubbers can inspect it).
+//                              tag's back; with verify_reads enabled the
+//                              per-page integrity tag (page_tag, modelling
+//                              T10-DIF / on-disk ECC) surfaces it as kCorrupt
+//                              (data is still transferred so scrubbers can
+//                              inspect it).
 //
 // Every fault class has a counter, so tests can assert not just that the
 // stack survived, but that the intended healing path actually ran.
@@ -27,8 +28,8 @@
 #include <cstdint>
 #include <memory>
 #include <random>
-#include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "blockdev/block_device.hpp"
 
@@ -49,8 +50,10 @@ class PowerRail {
 struct FaultConfig {
   double transient_read_prob = 0.0;
   double transient_write_prob = 0.0;
-  /// Verify a per-page checksum on every read; mismatches (bit rot, or writes
-  /// that bypassed the decorator) surface as kCorrupt.
+  /// Verify the per-page integrity tag on every read; mismatches (bit rot, or
+  /// writes that bypassed the decorator) surface as kCorrupt. Pages with no
+  /// tag yet (never written through the decorator, trimmed, or cleared) are
+  /// not verified.
   bool verify_reads = false;
   std::uint64_t seed = 1;
 };
@@ -62,7 +65,7 @@ struct FaultCounters {
   std::uint64_t transient_errors = 0;     ///< injected transient failures
   std::uint64_t torn_writes = 0;          ///< power-cut partial page writes
   std::uint64_t bit_rot_injected = 0;
-  std::uint64_t corruptions_detected = 0; ///< checksum mismatches -> kCorrupt
+  std::uint64_t corruptions_detected = 0; ///< tag mismatches -> kCorrupt
   std::uint64_t power_cut_rejects = 0;    ///< ops rejected while the rail is down
 };
 
@@ -98,8 +101,8 @@ class FaultInjectingDevice final : public BlockDevice {
   void inject_media_error(Lba page);
 
   /// Silently XORs `xor_mask` into every byte of the page on media, without
-  /// updating the stored checksum — detectable only via verify_reads or
-  /// parity cross-checks.
+  /// updating the stored tag — detectable only via verify_reads or parity
+  /// cross-checks.
   void inject_bit_rot(Lba page, std::uint8_t xor_mask);
 
   /// Arms the power-cut trigger: `after_writes` subsequent media writes pass
@@ -117,7 +120,7 @@ class FaultInjectingDevice final : public BlockDevice {
   /// instead of misreading the rejections as media loss.
   bool powered() const { return !rail_ || rail_->on(); }
 
-  /// Forgets all per-page fault state (latent errors, checksums) — required
+  /// Forgets all per-page fault state (latent errors, tags) — required
   /// after the media behind the decorator is swapped (disk replace/rebuild).
   void clear_faults();
 
@@ -135,7 +138,6 @@ class FaultInjectingDevice final : public BlockDevice {
   static constexpr std::uint64_t kNotArmed = ~0ull;
   static constexpr std::uint32_t kSectorSize = 512;
 
-  static std::uint64_t page_checksum(std::span<const std::uint8_t> data);
   IoStatus do_torn_write(Lba page, std::span<const std::uint8_t> data);
 
   BlockDevice* inner_;
@@ -143,7 +145,7 @@ class FaultInjectingDevice final : public BlockDevice {
   std::mt19937_64 rng_;
   std::shared_ptr<PowerRail> rail_;
   std::unordered_set<Lba> media_errors_;
-  std::unordered_map<Lba, std::uint64_t> checksums_;
+  std::vector<std::uint64_t> tags_;  ///< page_tag per page; 0 = no tag yet
   std::uint64_t cut_countdown_ = kNotArmed;
   std::uint64_t media_writes_ = 0;
   FaultCounters fault_counters_;

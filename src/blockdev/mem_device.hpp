@@ -4,7 +4,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <memory>
 
 #include "blockdev/block_device.hpp"
 
@@ -20,7 +20,8 @@ class MemBlockDevice final : public BlockDevice {
                        std::size_t* pages_done = nullptr) override;
   std::uint64_t num_pages() const override { return pages_; }
 
-  /// Replaces the device with a blank one (models swapping in a spare disk).
+  /// Replaces the device with a blank one (models swapping in a spare disk):
+  /// every page reads as zeros again.
   void replace();
 
   /// Direct access for tests/scrubbing (bypasses failure state and counters).
@@ -28,8 +29,17 @@ class MemBlockDevice final : public BlockDevice {
   void corrupt_page(Lba page, std::uint8_t xor_mask);
 
  private:
+  /// The media is an anonymous mapping, which the OS zero-fills on first
+  /// touch: pages that are never written are never resident.
+  struct Unmap {
+    std::size_t bytes = 0;
+    void operator()(std::uint8_t* p) const;
+  };
+  using Media = std::unique_ptr<std::uint8_t[], Unmap>;
+  static Media map_zeroed(std::size_t bytes);
+
   std::uint64_t pages_;
-  std::vector<std::uint8_t> data_;
+  Media data_;
 };
 
 }  // namespace kdd

@@ -1,6 +1,7 @@
 #include "cache/metadata_log.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "common/check.hpp"
 #include "obs/log.hpp"
@@ -46,27 +47,28 @@ std::uint64_t get_u64(const std::uint8_t* p) {
   return v;
 }
 
-/// CRC-8 (poly 0x07) over the 16-byte entry payload followed by the owning
-/// page's 8-byte sequence number. Folding the sequence in means an entry that
-/// survived from a previous lap of the circular log can never masquerade as
-/// part of the current page.
-std::uint8_t entry_crc8(const std::uint8_t* payload, std::uint64_t seq) {
-  std::uint8_t seq_bytes[8];
-  put_u64(seq_bytes, seq);
-  std::uint8_t crc = 0xff;
-  const auto feed = [&crc](std::uint8_t b) {
-    crc ^= b;
-    for (int k = 0; k < 8; ++k) {
-      const unsigned shifted = static_cast<unsigned>(crc) << 1;
-      crc = static_cast<std::uint8_t>((crc & 0x80u) ? shifted ^ 0x07u : shifted);
-    }
-  };
-  for (std::size_t i = 0; i < MetadataEntry::kPayloadSize; ++i) feed(payload[i]);
-  for (const std::uint8_t b : seq_bytes) feed(b);
-  return crc;
-}
+/// CRC-8 (poly 0x07) lookup table: entry b is the bitwise register after
+/// feeding byte b into a zero register.
+constexpr std::array<std::uint8_t, 256> kCrc8Table = [] {
+  std::array<std::uint8_t, 256> t{};
+  for (unsigned b = 0; b < 256; ++b) {
+    unsigned crc = b;
+    for (int k = 0; k < 8; ++k) crc = ((crc << 1) ^ ((crc & 0x80u) ? 0x07u : 0u)) & 0xffu;
+    t[b] = static_cast<std::uint8_t>(crc);
+  }
+  return t;
+}();
 
 }  // namespace
+
+std::uint8_t MetadataLog::entry_crc8(const std::uint8_t* payload, std::uint64_t seq) {
+  std::uint8_t crc = 0xff;
+  for (std::size_t i = 0; i < MetadataEntry::kPayloadSize; ++i) {
+    crc = kCrc8Table[crc ^ payload[i]];
+  }
+  for (int i = 0; i < 8; ++i) crc = kCrc8Table[crc ^ static_cast<std::uint8_t>(seq >> (8 * i))];
+  return crc;
+}
 
 MetadataLog::MetadataLog(CacheSsd* ssd, NvramState* nvram, CacheSets* sets,
                          double gc_threshold)

@@ -61,6 +61,12 @@ class MetadataLog {
   static constexpr std::size_t kEntriesPerPage =
       (kPageSize - kPageHeaderSize) / MetadataEntry::kSerializedSize;
 
+  /// CRC-8 (poly 0x07, init 0xff) over the kPayloadSize-byte entry payload
+  /// followed by the owning page's sequence number (8 bytes, little-endian).
+  /// Folding the sequence in means an entry that survived from a previous lap
+  /// of the circular log can never masquerade as part of the current page.
+  static std::uint8_t entry_crc8(const std::uint8_t* payload, std::uint64_t seq);
+
  private:
   void commit_entries(std::vector<MetadataEntry> entries, IoPlan* plan);
   void collect_one_page(IoPlan* plan);

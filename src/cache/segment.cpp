@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/check.hpp"
+#include "common/hash.hpp"
 
 namespace kdd {
 
@@ -13,7 +14,8 @@ namespace {
 //   [ 8, 16)  segment id (monotonic)
 //   [16, 20)  payload entry count
 //   [20, 24)  reserved (zero)
-//   [24, 32)  payload CRC: FNV-1a 64 over the payload pages, in list order
+//   [24, 32)  payload CRC: FNV-1a 64 over the payload pages' page_tag values
+//             (8 bytes each, little-endian), in list order
 //   [32, 40)  header CRC: FNV-1a 64 over [0,32) and the entry list
 //   [40, 40+8*count)  target SSD LBAs, in write order
 // Both CRCs live in the first sector, so a torn header (sector prefix of the
@@ -42,13 +44,11 @@ SegmentStager::SegmentStager(const SegmentConfig& config, bool counter_mode)
   entries_.reserve(config_.segment_pages);
 }
 
-std::uint64_t SegmentStager::fnv1a(std::uint64_t h,
-                                   std::span<const std::uint8_t> bytes) {
-  for (std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 0x100000001b3ull;
-  }
-  return h;
+std::uint64_t SegmentStager::fold_payload_crc(std::uint64_t crc,
+                                              std::span<const std::uint8_t> page) {
+  std::uint8_t tag[8];
+  put_u64(tag, page_tag(page));
+  return fnv1a(crc, tag);
 }
 
 bool SegmentStager::stage(Lba ssd_lba, std::span<const std::uint8_t> data) {
@@ -128,14 +128,14 @@ std::vector<PageWrite> SegmentStager::build_seal(Page* header) const {
   batch.reserve(live_ + 1);
   batch.push_back({header_slot(), {h, kPageSize}});  // header FIRST
 
-  std::uint64_t payload_crc = kFnvSeed;
+  std::uint64_t payload_crc = kFnvOffset;
   std::uint32_t count = 0;
   for (const Entry& e : entries_) {
     if (e.dead) continue;
     put_u64(h + kHeaderFixedBytes + 8ull * count, e.lba);
     ++count;
     if (!e.data.empty()) {
-      payload_crc = fnv1a(payload_crc, e.data);
+      payload_crc = fold_payload_crc(payload_crc, e.data);
       batch.push_back({e.lba, {e.data.data(), kPageSize}});
     } else {
       batch.push_back({e.lba, {}});
@@ -145,7 +145,7 @@ std::vector<PageWrite> SegmentStager::build_seal(Page* header) const {
   put_u64(h + 8, id_);
   put_u32(h + 16, count);
   put_u64(h + 24, counter_mode_ ? 0 : payload_crc);
-  std::uint64_t header_crc = fnv1a(kFnvSeed, {h, 32});
+  std::uint64_t header_crc = fnv1a(kFnvOffset, {h, 32});
   header_crc = fnv1a(header_crc, {h + kHeaderFixedBytes, 8ull * count});
   put_u64(h + 32, header_crc);
   return batch;
@@ -172,7 +172,7 @@ bool SegmentStager::parse_header(std::span<const std::uint8_t> page,
   if (get_u64(h) != kMagic) return false;
   const std::uint32_t count = get_u32(h + 16);
   if (count == 0 || count > kMaxEntries) return false;
-  std::uint64_t crc = fnv1a(kFnvSeed, {h, 32});
+  std::uint64_t crc = fnv1a(kFnvOffset, {h, 32});
   crc = fnv1a(crc, {h + kHeaderFixedBytes, 8ull * count});
   if (crc != get_u64(h + 32)) return false;
   if (id) *id = get_u64(h + 8);

@@ -3,8 +3,8 @@
 // RAM segment instead of being written to the SSD one page at a time. When
 // the segment fills (or a barrier forces it), it is *sealed* — a header page
 // carrying a monotonic segment id, the list of target SSD LBAs and a
-// whole-segment CRC over the payload bytes — and flushed as ONE vectored
-// sequential SSD write (BlockDevice::write_multi), header first.
+// whole-segment CRC over the payload pages' integrity tags — and flushed as
+// ONE vectored sequential SSD write (BlockDevice::write_multi), header first.
 //
 // Why this is crash-safe even though the segment lives in plain RAM: the KDD
 // write path keeps RAID data members current *before* any delta or page is
@@ -111,9 +111,11 @@ class SegmentStager {
 
   // ---- Header format helpers (shared with CacheSsd recovery) --------------
 
-  /// FNV-1a 64 continuation over `bytes`.
-  static std::uint64_t fnv1a(std::uint64_t h, std::span<const std::uint8_t> bytes);
-  static constexpr std::uint64_t kFnvSeed = 0xcbf29ce484222325ull;
+  /// Folds one payload page into the whole-segment payload CRC: FNV-1a over
+  /// the pages' page_tag values, in list order, from kFnvOffset. Seal and
+  /// recovery both compute the CRC through this one function.
+  static std::uint64_t fold_payload_crc(std::uint64_t crc,
+                                        std::span<const std::uint8_t> page);
 
   /// Parses and validates a header page (magic + header CRC). On success
   /// fills the segment id, the payload LBA list and the whole-segment

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "cache/nvram.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "compress/content.hpp"
 #include "kdd/kdd_cache.hpp"
@@ -23,21 +24,6 @@ DrillConfig::DrillConfig() {
   policy.ssd_pages = 256;
   policy.ways = 8;
 }
-
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv1a(std::uint64_t h, std::span<const std::uint8_t> bytes) {
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-}  // namespace
 
 /// One pass's worth of stack (mirrors the torture rig: everything but the
 /// KddCache and the RebuildEngine survives a power cut).

@@ -9,6 +9,7 @@
 #include <unordered_map>
 
 #include "common/check.hpp"
+#include "common/hash.hpp"
 #include "kdd/kdd_cache.hpp"
 #include "policies/leavo.hpp"
 #include "policies/nocache.hpp"
@@ -264,14 +265,11 @@ ConcurrentReplayResult run_concurrent_trace_async(
 
 std::uint64_t replay_readback_digest(ConcurrentCache& cache,
                                      std::uint64_t array_pages) {
-  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a
+  std::uint64_t h = kFnvOffset;
   Page buf = make_page();
   for (Lba lba = 0; lba < array_pages; ++lba) {
     KDD_CHECK(cache.read(lba, buf) == IoStatus::kOk);
-    for (const std::uint8_t b : buf) {
-      h ^= b;
-      h *= 0x100000001b3ull;
-    }
+    h = fnv1a(h, buf);
   }
   return h;
 }

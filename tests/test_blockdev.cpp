@@ -10,8 +10,10 @@
 #include "blockdev/mem_device.hpp"
 #include "blockdev/ssd_model.hpp"
 #include "blockdev/timing.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "obs/log.hpp"
 #include "test_util.hpp"
 
 namespace kdd {
@@ -357,6 +359,123 @@ TEST(WriteMulti, MidVectorPowerCutPersistsExactPrefix) {
       EXPECT_EQ(buf, old_batch.pages[i]) << "entry " << i;
     }
   }
+}
+
+// ---- Device integrity tags: page_tag must flag every corruption the fault
+// model can produce, and FaultInjectingDevice's flat tag store must keep the
+// verify-on-read semantics (untagged pages are not verified) -------------
+
+TEST(PageTag, DetectsEverySingleBitFlip) {
+  Page page = test_page(0x7a6);
+  const std::uint64_t tag = page_tag(page);
+  std::size_t missed = 0;
+  for (std::size_t bit = 0; bit < kPageSize * 8; ++bit) {
+    page[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    if (page_tag(page) == tag) ++missed;
+    page[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+  }
+  EXPECT_EQ(missed, 0u);
+  EXPECT_EQ(page_tag(page), tag);  // deterministic
+}
+
+TEST(PageTag, DetectsEveryBitRotMask) {
+  MemBlockDevice inner(4);
+  FaultConfig cfg;
+  cfg.verify_reads = true;
+  FaultInjectingDevice dev(&inner, cfg);
+  const Page page = test_page(0xb17);
+  Page buf = make_page();
+  const obs::LogLevel prev = obs::log_level();
+  obs::set_log_level(obs::LogLevel::kError);  // one warning per detection
+  for (unsigned mask = 0x01; mask <= 0xff; ++mask) {
+    Page rotted = page;
+    for (auto& b : rotted) b ^= static_cast<std::uint8_t>(mask);
+    EXPECT_NE(page_tag(rotted), page_tag(page)) << "mask " << mask;
+    // Through the device: the stale tag surfaces the rot as kCorrupt.
+    ASSERT_EQ(dev.write(2, page), IoStatus::kOk);
+    dev.inject_bit_rot(2, static_cast<std::uint8_t>(mask));
+    ASSERT_EQ(dev.read(2, buf), IoStatus::kCorrupt) << "mask " << mask;
+    EXPECT_EQ(buf, rotted);  // the data is still transferred
+  }
+  obs::set_log_level(prev);
+  EXPECT_EQ(dev.fault_counters().corruptions_detected, 255u);
+}
+
+TEST(PageTag, DetectsEverySectorPrefixTear) {
+  const Page old_page = test_page(0xa);
+  const Page new_page = test_page(0xb);
+  for (std::size_t sectors = 1; sectors < kPageSize / 512; ++sectors) {
+    Page torn = old_page;
+    std::copy_n(new_page.begin(), sectors * 512, torn.begin());
+    EXPECT_NE(page_tag(torn), page_tag(old_page)) << sectors << " sectors";
+    EXPECT_NE(page_tag(torn), page_tag(new_page)) << sectors << " sectors";
+  }
+}
+
+TEST(PageTag, IsNeverZero) {
+  EXPECT_NE(page_tag(make_page()), 0u);
+  EXPECT_NE(page_tag(Page(kPageSize, 0xff)), 0u);
+  EXPECT_NE(page_tag({}), 0u);
+  Rng rng(0x7a9);
+  std::vector<std::uint8_t> bytes(128);
+  for (int i = 0; i < 4096; ++i) {
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next_u64());
+    const auto len = static_cast<std::size_t>(32 * rng.next_below(5));  // 0..128
+    ASSERT_NE(page_tag({bytes.data(), len}), 0u) << "len " << len;
+  }
+}
+
+TEST(FaultTags, NeverWrittenPageReadsOk) {
+  MemBlockDevice inner(8);
+  FaultConfig cfg;
+  cfg.verify_reads = true;
+  FaultInjectingDevice dev(&inner, cfg);
+  Page buf(kPageSize, 0xff);
+  ASSERT_EQ(dev.read(5, buf), IoStatus::kOk);
+  EXPECT_TRUE(all_zero(buf));
+  // Bytes written behind the decorator's back carry no tag: not verified.
+  ASSERT_EQ(inner.write(6, test_page(6)), IoStatus::kOk);
+  ASSERT_EQ(dev.read(6, buf), IoStatus::kOk);
+  EXPECT_EQ(dev.fault_counters().corruptions_detected, 0u);
+}
+
+TEST(FaultTags, TrimAndClearFaultsForgetTags) {
+  MemBlockDevice inner(8);
+  FaultConfig cfg;
+  cfg.verify_reads = true;
+  FaultInjectingDevice dev(&inner, cfg);
+  Page buf = make_page();
+  ASSERT_EQ(dev.write(1, test_page(1)), IoStatus::kOk);
+  ASSERT_EQ(dev.write(2, test_page(2)), IoStatus::kOk);
+  dev.inject_bit_rot(1, 0x10);
+  dev.inject_bit_rot(2, 0x20);
+  dev.trim(1);
+  ASSERT_EQ(dev.read(1, buf), IoStatus::kOk);   // trimmed: no tag to check
+  ASSERT_EQ(dev.read(2, buf), IoStatus::kCorrupt);  // stale tag kept on purpose
+  dev.clear_faults();
+  ASSERT_EQ(dev.read(2, buf), IoStatus::kOk);
+  EXPECT_EQ(dev.fault_counters().corruptions_detected, 1u);
+  // A fresh write tags the page again.
+  ASSERT_EQ(dev.write(2, test_page(22)), IoStatus::kOk);
+  dev.inject_bit_rot(2, 0x01);
+  EXPECT_EQ(dev.read(2, buf), IoStatus::kCorrupt);
+}
+
+TEST(MemBlockDevice, ReplaceReadsAllZerosAfterWrites) {
+  constexpr std::uint64_t kPages = 64;
+  MemBlockDevice dev(kPages);
+  for (Lba p = 0; p < kPages; ++p) ASSERT_EQ(dev.write(p, test_page(p)), IoStatus::kOk);
+  dev.replace();
+  Page buf(kPageSize, 0xff);
+  for (Lba p = 0; p < kPages; ++p) {
+    ASSERT_EQ(dev.read(p, buf), IoStatus::kOk);
+    EXPECT_TRUE(all_zero(buf)) << "page " << p;
+    EXPECT_TRUE(all_zero(dev.raw_page(p))) << "page " << p;
+  }
+  // The blank device is fully usable again.
+  ASSERT_EQ(dev.write(kPages - 1, test_page(9)), IoStatus::kOk);
+  ASSERT_EQ(dev.read(kPages - 1, buf), IoStatus::kOk);
+  EXPECT_EQ(buf, test_page(9));
 }
 
 TEST(HddTiming, SequentialFasterThanRandom) {

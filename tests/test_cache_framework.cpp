@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+
 #include "cache/backend.hpp"
 #include "cache/metadata_log.hpp"
 #include "cache/nvram.hpp"
@@ -368,6 +371,45 @@ TEST_F(MetadataLogTornTest, EntryCrcCoversPageSequence) {
   const std::vector<MetadataEntry> entries = log_.replay();
   EXPECT_TRUE(entries.empty());
   EXPECT_EQ(log_.bad_pages_skipped(), 1u);
+}
+
+/// The bitwise CRC-8 the metadata log was first written with (poly 0x07,
+/// init 0xff, payload then little-endian sequence number, 8 shift steps per
+/// byte). The table-driven production CRC must match it bit for bit, or logs
+/// already on media stop replaying.
+std::uint8_t bitwise_entry_crc8(const std::uint8_t* payload, std::uint64_t seq) {
+  std::uint8_t crc = 0xff;
+  const auto feed = [&crc](std::uint8_t b) {
+    crc ^= b;
+    for (int k = 0; k < 8; ++k) {
+      const unsigned shifted = static_cast<unsigned>(crc) << 1;
+      crc = static_cast<std::uint8_t>((crc & 0x80u) ? shifted ^ 0x07u : shifted);
+    }
+  };
+  for (std::size_t i = 0; i < MetadataEntry::kPayloadSize; ++i) feed(payload[i]);
+  for (int i = 0; i < 8; ++i) feed(static_cast<std::uint8_t>(seq >> (8 * i)));
+  return crc;
+}
+
+TEST(MetadataLogCrc, TableCrcMatchesBitwiseReference) {
+  Rng rng(0xc8c8);
+  std::uint8_t payload[MetadataEntry::kPayloadSize];
+  for (int trial = 0; trial < 20000; ++trial) {
+    for (std::uint8_t& b : payload) b = static_cast<std::uint8_t>(rng.next_u64());
+    // Mix small sequence numbers (the common case) with full 64-bit ones.
+    const std::uint64_t seq = trial % 2 == 0 ? rng.next_below(1u << 20) : rng.next_u64();
+    ASSERT_EQ(MetadataLog::entry_crc8(payload, seq), bitwise_entry_crc8(payload, seq))
+        << "trial " << trial << " seq " << seq;
+  }
+  // Every single-byte value in every payload position, on a zero background.
+  std::fill(std::begin(payload), std::end(payload), std::uint8_t{0});
+  for (std::size_t i = 0; i < MetadataEntry::kPayloadSize; ++i) {
+    for (unsigned v = 0; v < 256; ++v) {
+      payload[i] = static_cast<std::uint8_t>(v);
+      ASSERT_EQ(MetadataLog::entry_crc8(payload, i), bitwise_entry_crc8(payload, i));
+    }
+    payload[i] = 0;
+  }
 }
 
 TEST(RaidBackendTest, PartialRmwKeepsCounterStale) {

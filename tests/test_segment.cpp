@@ -9,6 +9,7 @@
 
 #include <memory>
 
+#include "common/hash.hpp"
 #include "compress/content.hpp"
 #include "kdd/kdd_cache.hpp"
 #include "test_util.hpp"
@@ -91,12 +92,12 @@ TEST(SegmentStager, SealBatchIsHeaderFirstAndHeaderRoundTrips) {
   EXPECT_EQ(lbas, stager.live_lbas());
   ASSERT_EQ(lbas.size(), 2u);
 
-  // The advertised payload CRC matches FNV-1a over the payload bytes in
-  // batch order — recovery recomputes exactly this.
-  std::uint64_t crc = SegmentStager::kFnvSeed;
+  // The advertised payload CRC is the payload pages folded in batch order
+  // through fold_payload_crc — recovery recomputes exactly this.
+  std::uint64_t crc = kFnvOffset;
   for (std::size_t i = 1; i < batch.size(); ++i) {
     EXPECT_EQ(batch[i].page, lbas[i - 1]);
-    crc = SegmentStager::fnv1a(crc, batch[i].data);
+    crc = SegmentStager::fold_payload_crc(crc, batch[i].data);
   }
   EXPECT_EQ(crc, payload_crc);
 
